@@ -5,15 +5,17 @@
         TRACE_FILE and exit with main's code;
     python benchmark/child.py selfcheck JOB_FILE RESULT_FILE
         time ``verify_orthogonality`` and ``galois_conjugate`` on each of the
-        job's character tables, built untimed just before; one round.
+        job's character tables, built untimed just before; one round, with
+        the times scaled to the probe's reference speed unless traced.
 
-Untraced ``cli`` work runs as ``python -m acdlab ...`` instead, exactly as a
-user runs it.
+Untraced ``cli`` work runs as ``python benchmark/probe.py FILE -m acdlab ...``
+instead, as a user runs it but with probes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import resource
@@ -23,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+import probe
 from checks import Values
 from spans import Tracer, cache_counts
 
@@ -78,7 +81,8 @@ def run_selfcheck(job_file: str, result_file: str) -> int:
     and its checks, whatever else the seed drew.  With ``verify`` set, the
     results are also checked in floating point and a planted wrong value
     must be caught; every round reports a digest of its results, which must
-    repeat.
+    repeat.  In a round that is neither traced nor checking, the build and
+    check times are scaled to the probe's reference speed (probe.py).
     """
     with open(job_file, encoding="utf-8") as fh:
         job = json.load(fh)
@@ -86,6 +90,10 @@ def run_selfcheck(job_file: str, result_file: str) -> int:
     if job["trace"]:
         tracer = Tracer()
         tracer.install()
+    probed = not (job["trace"] or job["verify"])
+    sampler = probe.Sampler()
+    if probed:
+        sampler.start()
     from acdlab.chartab import character_table, galois_conjugate, verify_orthogonality
     from acdlab.constructions import build
     from acdlab.number_theory import unit_group_generators
@@ -95,7 +103,8 @@ def run_selfcheck(job_file: str, result_file: str) -> int:
         return character_table(build(parse_group_spec(text)))
 
     timed_spans: List[Tuple[int, int]] = []  # span index ranges of the timed calls
-    build_s = wall_s = cpu_s = 0.0
+    # (build start, check start, check end, check CPU seconds) per table
+    intervals: List[Tuple[float, float, float, float]] = []
     digests: Dict[str, str] = {}
     problems: Dict[str, List[str]] = {}
     errors: Dict[str, str] = {}
@@ -105,8 +114,10 @@ def run_selfcheck(job_file: str, result_file: str) -> int:
         # -1 and generators of the unit group mod the exponent.
         ts = sorted(set(unit_group_generators(T.exponent)) | {max(T.exponent - 1, 1)})
         lo = len(tracer.spans) if tracer is not None else 0
+        # The checks of every table start with no garbage left over from
+        # the build or the checks before them.
+        gc.collect()
         w0, c0 = time.perf_counter(), _cpu()
-        build_s += w0 - b0
         try:
             report = verify_orthogonality(T)
             twists = {(r, t): galois_conjugate(T, r, t) for r in range(T.num_chars) for t in ts}
@@ -114,8 +125,7 @@ def run_selfcheck(job_file: str, result_file: str) -> int:
             errors[text] = f"{type(exc).__name__}: {exc}"
             continue
         finally:
-            wall_s += time.perf_counter() - w0
-            cpu_s += _cpu() - c0
+            intervals.append((b0, w0, time.perf_counter(), _cpu() - c0))
             if tracer is not None:
                 timed_spans.append((lo, len(tracer.spans)))
         digests[text] = hashlib.sha256(repr((report, sorted(twists.items()))).encode()).hexdigest()
@@ -123,8 +133,20 @@ def run_selfcheck(job_file: str, result_file: str) -> int:
             problems[text] = _check_table(T, report, twists)
     hi = len(tracer.spans) if tracer is not None else 0
 
-    result = {"build_s": build_s, "wall_s": wall_s, "cpu_s": cpu_s, "digests": digests,
-              "errors": errors, "problems": problems}
+    build_s = sum(w0 - b0 for b0, w0, _, _ in intervals)
+    raw_wall_s = wall_s = sum(w1 - w0 for _, w0, w1, _ in intervals)
+    cpu_s = sum(cpu for *_, cpu in intervals)
+    if probed:
+        sampler.stop()
+        samples = sampler.samples
+        build_s = wall_s = cpu_s = 0.0
+        for b0, w0, w1, cpu in intervals:
+            build_s += probe.scaled(samples, b0, w0)[0]
+            wall, in_probes = probe.scaled(samples, w0, w1)
+            wall_s += wall
+            cpu_s += (cpu - in_probes) * wall / (w1 - w0 - in_probes)
+    result = {"build_s": build_s, "wall_s": wall_s, "cpu_s": cpu_s, "raw_wall_s": raw_wall_s,
+              "digests": digests, "errors": errors, "problems": problems}
     if job["verify"]:
         T = table(job["planted"])
         rows = [list(r) for r in T.rows]

@@ -17,8 +17,9 @@ another round while one as long as the last still ends in time, and always
 runs at least one.  The last line of standard output is a JSON
 object with ``correct``, ``attempted``, ``failed`` and ``metrics``: the
 end-to-end metrics with ``--trace 0``, the per-layer metrics from spans
-around acdlab's public functions with ``--trace 1``.  Result and trace
-files go to ``.benchrun/`` under the checkout.
+around acdlab's public functions with ``--trace 1``.  Untraced times are
+scaled to the reference speed of probe.py, which says why.  Result and
+trace files go to ``.benchrun/`` under the checkout.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+import probe
 from checks import check_audit_report, check_table_json
 from spans import span_names
 
@@ -146,6 +148,13 @@ def _children_usage() -> Tuple[float, float]:
     return ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024
 
 
+class Timing(NamedTuple):
+    code: int  # the child's exit code
+    wall: float  # wall seconds, at the probe's reference speed when probed
+    cpu: float  # CPU seconds, likewise
+    raw_wall: float  # wall seconds as the clock read them
+
+
 @dataclass
 class Context:
     root: str
@@ -174,11 +183,19 @@ class Context:
         })
         return env
 
-    def python(self, args: List[str], stdout=subprocess.DEVNULL) -> Tuple[int, float, float]:
-        """Run one child interpreter; return its exit code, wall and CPU seconds."""
+    def python(self, args: List[str], stdout=subprocess.DEVNULL, probed: bool = False) -> Timing:
+        """Run one child interpreter and time it.
+
+        With ``probed``, ``args`` is ``-m MODULE ...`` or ``-c CODE``, run
+        under probe.py, and the wall and CPU times are scaled to the probe's
+        reference speed.
+        """
         left = RUN_BUDGET_S - (time.perf_counter() - self.started)
         if left <= 0:
             raise BenchError(f"run exceeded {RUN_BUDGET_S} s")
+        samples_file = os.path.join(self.work, "probe-samples.json")
+        if probed:
+            args = [os.path.join(HERE, "probe.py"), samples_file, *args]
         cpu0, _ = _children_usage()
         t0 = time.perf_counter()
         try:
@@ -186,16 +203,24 @@ class Context:
                                   timeout=left, cwd=self.root).returncode
         except subprocess.TimeoutExpired as exc:
             raise BenchError(f"child exceeded the run budget of {RUN_BUDGET_S} s: {args}") from exc
-        wall = time.perf_counter() - t0
+        t1 = time.perf_counter()
         cpu1, _ = _children_usage()
-        return code, wall, cpu1 - cpu0
+        wall, cpu = t1 - t0, cpu1 - cpu0
+        if not probed:
+            return Timing(code, wall, cpu, wall)
+        try:
+            wall_ref, in_probes = probe.scaled(probe.load(samples_file), t0, t1)
+            os.remove(samples_file)
+        except (OSError, ValueError) as exc:
+            raise BenchError(f"no probe samples from {args}: {exc}") from exc
+        return Timing(code, wall_ref, (cpu - in_probes) * wall_ref / (wall - in_probes), wall)
 
-    def acdlab(self, args: List[str], trace_name: str, stdout=subprocess.DEVNULL) -> Tuple[int, float, float]:
-        """Run the acdlab CLI as a user does, or under the tracer."""
+    def acdlab(self, args: List[str], trace_name: str, stdout=subprocess.DEVNULL) -> Timing:
+        """Run the acdlab CLI as a user does, under the probe, or under the tracer."""
         if self.trace:
             path = os.path.join(self.trace_dir, trace_name + ".jsonl")
             return self.python([os.path.join(HERE, "child.py"), "cli", path, *args], stdout)
-        return self.python(["-m", "acdlab", *args], stdout)
+        return self.python(["-m", "acdlab", *args], stdout, probed=True)
 
     def trace_summary(self, trace_name: str) -> Dict[str, float]:
         with open(os.path.join(self.trace_dir, trace_name + ".jsonl"), "rb") as fh:
@@ -204,12 +229,14 @@ class Context:
             last = fh.read().splitlines()[-1]
         return json.loads(last)["summary"]
 
-    def rounds(self) -> Iterator[int]:
+    def rounds(self, seconds: Optional[float] = None) -> Iterator[int]:
         """Yield round numbers while another round, as long as the last one,
-        still ends within ``seconds``; always at least one."""
+        still ends within ``seconds`` (default ``--seconds``) from now;
+        always at least one."""
+        seconds = self.seconds if seconds is None else seconds
         start = last = time.perf_counter()
         n = 0
-        while n == 0 or 2 * time.perf_counter() - last - start <= self.seconds:
+        while n == 0 or 2 * time.perf_counter() - last - start <= seconds:
             last = time.perf_counter()
             yield n
             n += 1
@@ -217,14 +244,15 @@ class Context:
 
 def warm_bytecode(ctx: Context) -> None:
     """Fill the benchmark's bytecode cache for acdlab and numpy."""
-    code, _, _ = ctx.python(["-c", "import acdlab.cli"])
-    if code != 0:
+    if ctx.python(["-c", "import acdlab.cli"]).code != 0:
         raise BenchError("a fresh interpreter could not import acdlab.cli")
 
 
-def measure_setup(ctx: Context) -> float:
-    """Median wall of a fresh interpreter importing acdlab.cli."""
-    return statistics.median(ctx.python(["-c", "import acdlab.cli"])[1] for _ in range(IMPORT_RUNS))
+def measure_setup(ctx: Context) -> Tuple[float, List[float]]:
+    """Median wall of a fresh interpreter importing acdlab.cli, at the
+    probe's reference speed, and the raw walls."""
+    runs = [ctx.python(["-c", "import acdlab.cli"], probed=True) for _ in range(IMPORT_RUNS)]
+    return statistics.median(r.wall for r in runs), [r.raw_wall for r in runs]
 
 
 def _sum_summaries(summaries: List[Dict[str, float]], rounds: int) -> Dict[str, float]:
@@ -256,16 +284,16 @@ def run_audit_all(ctx: Context, specs: List[str]) -> Outcome:
     catalog = os.path.join(ctx.work, "catalog.txt")
     with open(catalog, "w", encoding="utf-8") as fh:
         fh.write("\n".join(specs) + "\n")
-    rounds: List[Tuple[int, float, float, str]] = []
+    rounds: List[Tuple[Timing, str]] = []
     for r in ctx.rounds():
         out = os.path.join(ctx.work, f"audit-{r}.jsonl")
-        code, wall, cpu = ctx.acdlab(
+        timing = ctx.acdlab(
             ["audit", "all", "--jobs", "1", "--catalog", catalog, "--out", out], f"audit-{r}")
-        rounds.append((code, wall, cpu, out))
+        rounds.append((timing, out))
     _, peak = _children_usage()
 
     failed, correct, problems = 0, True, []
-    for code, _, _, out in rounds:
+    for (code, *_), out in rounds:
         if code not in (0, 2) or not os.path.exists(out):
             failed += len(specs)
             problems.append(f"audit exited with {code}")
@@ -285,28 +313,28 @@ def run_audit_all(ctx: Context, specs: List[str]) -> Outcome:
     if ctx.trace:
         trace = _sum_summaries([ctx.trace_summary(f"audit-{i}") for i in range(len(rounds))], len(rounds))
     return Outcome(
-        wall_s=statistics.median(r[1] for r in rounds),
-        cpu_s=statistics.median(r[2] for r in rounds),
+        wall_s=statistics.median(t.wall for t, _ in rounds),
+        cpu_s=statistics.median(t.cpu for t, _ in rounds),
         peak_rss_mb=peak, attempted=len(specs) * len(rounds), failed=failed, correct=correct,
-        trace=trace, problems=problems, rounds=[{"wall_s": r[1], "cpu_s": r[2]} for r in rounds])
+        trace=trace, problems=problems, rounds=[t._asdict() for t, _ in rounds])
 
 
 def run_table_large(ctx: Context, panel: List[str]) -> Outcome:
-    runs: Dict[str, List[Tuple[int, float, float, str]]] = {spec: [] for spec in panel}
+    runs: Dict[str, List[Tuple[Timing, str]]] = {spec: [] for spec in panel}
     n_rounds = 0
     for r in ctx.rounds():
         for i, spec in enumerate(panel):
             out = os.path.join(ctx.work, f"table-{r}-{i}.json")
             with open(out, "wb") as fh:
-                code, wall, cpu = ctx.acdlab(["table", spec], f"table-{r}-{i}", stdout=fh)
-            runs[spec].append((code, wall, cpu, out))
+                timing = ctx.acdlab(["table", spec], f"table-{r}-{i}", stdout=fh)
+            runs[spec].append((timing, out))
         n_rounds += 1
     _, peak = _children_usage()
 
     failed, correct, problems = 0, True, []
     for spec, results in runs.items():
         reference: Optional[bytes] = None
-        for code, _, _, out in results:
+        for (code, *_), out in results:
             if code != 0:
                 failed += 1
                 problems.append(f"{spec}: exit code {code}")
@@ -330,41 +358,52 @@ def run_table_large(ctx: Context, panel: List[str]) -> Outcome:
         trace = _sum_summaries([ctx.trace_summary(f"table-{r}-{i}")
                                 for r in range(n_rounds) for i in range(len(panel))], n_rounds)
     return Outcome(
-        wall_s=sum(statistics.median(r[1] for r in results) for results in runs.values()),
-        cpu_s=sum(statistics.median(r[2] for r in results) for results in runs.values()),
+        wall_s=sum(statistics.median(t.wall for t, _ in results) for results in runs.values()),
+        cpu_s=sum(statistics.median(t.cpu for t, _ in results) for results in runs.values()),
         peak_rss_mb=peak, attempted=len(panel) * n_rounds, failed=failed, correct=correct,
         trace=trace, problems=problems,
-        rounds=[{spec: {"wall_s": runs[spec][r][1], "cpu_s": runs[spec][r][2]} for spec in panel}
-                for r in range(n_rounds)])
+        rounds=[{spec: runs[spec][r][0]._asdict() for spec in panel} for r in range(n_rounds)])
 
 
 def run_self_checks(ctx: Context, specs: List[str]) -> Outcome:
-    """Each round is one fresh worker process, so every round meets cold caches."""
-    rounds: List[Dict] = []
-    for r in ctx.rounds():
-        job_file = os.path.join(ctx.work, f"selfcheck-{r}-job.json")
-        result_file = os.path.join(ctx.work, f"selfcheck-{r}-result.json")
-        job = {"specs": specs, "verify": r == 0, "planted": PLANTED_SPEC,
-               "trace": os.path.join(ctx.trace_dir, f"selfcheck-{r}.jsonl") if ctx.trace else None}
+    """A checking worker, then timed rounds, each one fresh worker process.
+
+    The checking worker also evaluates every result in floating point and
+    tries the planted wrong value.  Its times are not used, and the timed
+    rounds do nothing between their checks but build the next table, so every
+    timed round does the same work.  The timed rounds fill what is left of
+    ``--seconds``.
+    """
+    def worker(name: str, check: bool) -> Dict:
+        job_file = os.path.join(ctx.work, f"selfcheck-{name}-job.json")
+        result_file = os.path.join(ctx.work, f"selfcheck-{name}-result.json")
+        job = {"specs": specs, "verify": check, "planted": PLANTED_SPEC,
+               "trace": os.path.join(ctx.trace_dir, f"selfcheck-{name}.jsonl")
+               if ctx.trace and not check else None}
         with open(job_file, "w", encoding="utf-8") as fh:
             json.dump(job, fh)
-        code, _, _ = ctx.python([os.path.join(HERE, "child.py"), "selfcheck", job_file, result_file])
+        code = ctx.python([os.path.join(HERE, "child.py"), "selfcheck", job_file, result_file]).code
         if code != 0 or not os.path.exists(result_file):
             raise BenchError(f"self-check worker exited with {code}")
         with open(result_file, encoding="utf-8") as fh:
-            rounds.append(json.load(fh))
+            return json.load(fh)
+
+    start = time.perf_counter()
+    first = worker("check", True)
+    rounds = [worker(str(r), False)
+              for r in ctx.rounds(ctx.seconds - (time.perf_counter() - start))]
     _, peak = _children_usage()
 
-    first = rounds[0]
     problems = [f"{text}: {p}" for text, found in first["problems"].items() for p in found]
     bad = {text for text, found in first["problems"].items() if found}
-    for r, res in enumerate(rounds):
+    for r, res in enumerate([first] + rounds):
         problems += [f"{text}: {err}" for text, err in res["errors"].items()]
         for text, digest in res["digests"].items():
             if first["digests"].get(text, digest) != digest:
-                problems.append(f"{text}: round {r} gave other results than round 0")
+                problems.append(f"{text}: timed round {r - 1} gave other results than the checking worker")
                 bad.add(text)
-    failed = sum(len(res["errors"]) for res in rounds) + len(bad) * len(rounds)
+    workers = 1 + len(rounds)
+    failed = sum(len(res["errors"]) for res in [first] + rounds) + len(bad) * workers
     if not first["planted_caught"]:
         problems.append(f"verify_orthogonality passed {PLANTED_SPEC} with a planted wrong value")
         failed += 1
@@ -375,11 +414,11 @@ def run_self_checks(ctx: Context, specs: List[str]) -> Outcome:
     return Outcome(
         wall_s=statistics.median(r["wall_s"] for r in rounds),
         cpu_s=statistics.median(r["cpu_s"] for r in rounds),
-        peak_rss_mb=peak, attempted=len(specs) * len(rounds) + 1, failed=failed,
+        peak_rss_mb=peak, attempted=len(specs) * workers + 1, failed=failed,
         correct=not bad and first["planted_caught"],
         extra_setup_s=statistics.median(r["build_s"] for r in rounds),
         trace=trace, problems=problems,
-        rounds=[{k: r[k] for k in ("build_s", "wall_s", "cpu_s")} for r in rounds])
+        rounds=[{k: r[k] for k in ("build_s", "wall_s", "cpu_s", "raw_wall_s")} for r in rounds])
 
 
 # -- metrics -------------------------------------------------------------------
@@ -424,7 +463,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, root: str,
     try:
         ctx = Context(root=root, seconds=seconds, trace=trace, work=work, trace_dir=trace_dir)
         warm_bytecode(ctx)
-        setup_s = 0.0 if trace else measure_setup(ctx)
+        setup_s, setup_raw = (0.0, []) if trace else measure_setup(ctx)
         if workload == "audit-all":
             inputs = inputs or audit_catalog()
             outcome = run_audit_all(ctx, inputs)
@@ -449,7 +488,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool, root: str,
     result = {"correct": outcome.correct, "attempted": outcome.attempted,
               "failed": outcome.failed, "metrics": metrics}
     with open(os.path.join(out_dir, f"result-{tag}.json"), "w", encoding="utf-8") as fh:
-        json.dump(dict(result, problems=outcome.problems, inputs=inputs, rounds=outcome.rounds), fh)
+        json.dump(dict(result, problems=outcome.problems, inputs=inputs, rounds=outcome.rounds,
+                       setup_raw_walls=setup_raw), fh)
     for p in outcome.problems[:20]:
         print(f"problem: {p}", file=sys.stderr)
     return result

@@ -20,6 +20,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import probe  # noqa: E402
 import run  # noqa: E402
 from checks import check_audit_report, check_table_json, p_nilpotent_closed_form  # noqa: E402
 
@@ -102,6 +103,47 @@ def test_inputs_depend_on_the_seed_only():
     assert len(run.table_panel(3)) == len(run.TABLE_SLOTS)
     sample = run.selfcheck_sample(3)
     assert sample == run.selfcheck_sample(3) and len(set(sample)) == len(sample)
+
+
+def test_scaled_time_follows_the_probe():
+    # A probe every 0.1 s with the machine at half the reference speed:
+    # 10 s of wall, less the time in probes, counts half.
+    slow = [(0.1 * i, 2 * probe.REF_S) for i in range(100)]
+    wall, in_probes = probe.scaled(slow, 0.0, 10.0)
+    assert in_probes == pytest.approx(200 * probe.REF_S)
+    assert wall == pytest.approx((10.0 - in_probes) / 2)
+    # Each half of a run counts at its own speed, and one stray long probe
+    # inside a window changes the speed of no stretch.  The probes at
+    # 0, 0.1, ..., 4.9 s own [0, 4.95] and those from 5.0 s own [4.95, 10].
+    ref = probe.REF_S
+    mixed = [(0.1 * i, ref * (1 if i < 50 else 2)) for i in range(100)]
+    mixed[20] = (2.0, 50 * ref)
+    wall, in_probes = probe.scaled(mixed, 0.0, 10.0)
+    fast_probes, slow_probes = 49 * ref + 50 * ref, 50 * 2 * ref
+    assert in_probes == pytest.approx(fast_probes + slow_probes)
+    assert wall == pytest.approx((4.95 - fast_probes) + (5.05 - slow_probes) / 2)
+
+
+def test_probe_allocates_nothing_the_garbage_collector_tracks():
+    import gc
+
+    sampler = probe.Sampler()
+    sampler.stop()  # the first calls may allocate while the arrays grow
+    before = gc.get_count()[0]
+    for _ in range(100):
+        sampler._sample()
+    assert gc.get_count()[0] == before
+
+
+def test_probe_wrapper_runs_a_module_and_keeps_its_exit_code(tmp_path):
+    import subprocess
+
+    samples = tmp_path / "samples.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, os.path.join(HERE, "probe.py"), str(samples),
+                           "-m", "acdlab", "audit", "nope"], env=env, capture_output=True, text=True)
+    assert done.returncode == 1 and "error:" in done.stderr
+    assert len(probe.load(str(samples))) >= 2
 
 
 def _declared(kind: str):
