@@ -31,6 +31,7 @@ from .errors import (
     AcdlabError,
     ConstructionError,
     DomainError,
+    EngineInvariantError,
     InputError,
     SizeLimitError,
     SpecSyntaxError,
@@ -57,8 +58,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AcdQuery", "AcdlabError", "Alternating", "AuditRow", "CharacterTable",
     "ConstructionError", "Cyclic", "CyclotomicValue", "Dihedral", "DirectProduct",
-    "DomainError", "FieldSemidirect", "FieldSpec", "FiniteGroup", "GroupSpec",
-    "InputError", "MatrixSemidirect", "Quaternion8", "SizeLimitError",
+    "DomainError", "EngineInvariantError", "FieldSemidirect", "FieldSpec",
+    "FiniteGroup", "GroupSpec", "InputError", "MatrixSemidirect", "Quaternion8", "SizeLimitError",
     "SpecSyntaxError", "SubgroupHandle", "Symmetric", "a_k_subgroup",
     "abelian3_formula", "acd", "audit_many", "audit_theorem", "ave", "bound_f",
     "build", "center", "character_kernel", "character_table", "conjugacy_classes",

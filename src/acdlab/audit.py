@@ -143,7 +143,7 @@ class _Bundle:
         return self._solvable
 
     def pnil(self, p: int) -> bool:
-        return is_p_nilpotent(self.G, p)[0]
+        return is_p_nilpotent(self.G, p, want_certificate=False)[0]
 
     def acd_value(self, k: FieldSpec, p: Optional[int],
                   quotient: Optional[SubgroupHandle] = None) -> Fraction:

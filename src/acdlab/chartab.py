@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cyclotomic import CyclotomicValue, Rat, exponent_counts_to_coordinates
-from .errors import InputError
+from .errors import EngineInvariantError, InputError
 from .group import (
     ClassData,
     FiniteGroup,
@@ -50,7 +50,8 @@ def choose_conductor_prime(exp: int, order: int) -> int:
     q = exp + 1 if exp > 1 else 2
     while True:
         if q * q > 4 * order and is_prime(q):
-            assert order % q != 0
+            if order % q == 0:
+                raise EngineInvariantError(f"conductor prime {q} divides the group order {order}")
             return q
         q += exp
 
@@ -99,7 +100,8 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int) -> List[np.ndarray]
     spaces: List[Tuple[np.ndarray, List[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
     i = 1
     while any(W.shape[0] > 1 for W, _ in spaces):
-        assert i < k, "class matrices must jointly separate the eigenvectors"
+        if i >= k:
+            raise EngineInvariantError("class matrices must jointly separate the eigenvectors")
         NT = class_matrix(G, C, i).T % q
         nxt: List[Tuple[np.ndarray, List[int]]] = []
         for W, piv in spaces:
@@ -109,7 +111,8 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int) -> List[np.ndarray]
                 continue
             img = (W @ NT) % q
             B = img[:, piv]
-            assert np.array_equal((B @ W) % q, img), "subspace must be invariant"
+            if not np.array_equal((B @ W) % q, img):
+                raise EngineInvariantError("subspace must be invariant")
             f = charpoly_mod(B, q)
             roots = poly_roots_mod(f, q)
             if len(roots) <= 1:
@@ -124,17 +127,21 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int) -> List[np.ndarray]
                     A = (B.T - lam * np.eye(s, dtype=np.int64)) % q
                     U = nullspace_mod(A, q)
                 t = U.shape[0]
-                assert t >= 1
+                if t < 1:
+                    raise EngineInvariantError("an eigenvalue root must have an eigenvector")
                 Wn, pivn = rref_mod((U @ W) % q, q)
-                assert Wn.shape[0] == t
+                if Wn.shape[0] != t:
+                    raise EngineInvariantError("eigenvectors must stay independent in the subspace")
                 nxt.append((Wn, list(pivn)))
                 total += t
-            assert total == s, "restriction must be diagonalizable over F_q"
+            if total != s:
+                raise EngineInvariantError("restriction must be diagonalizable over F_q")
         spaces = nxt
         i += 1
     out = []
     for W, piv in spaces:
-        assert piv[0] == 0 and W[0, 0] == 1, "central character must be 1 on the identity class"
+        if not (piv[0] == 0 and W[0, 0] == 1):
+            raise EngineInvariantError("central character must be 1 on the identity class")
         out.append(W[0])
     return out
 
@@ -146,10 +153,12 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     k = C.num_classes
 
     omega_rows = np.stack(_split_eigenspaces(G, C, q))
-    assert omega_rows.shape == (k, k)
+    if omega_rows.shape != (k, k):
+        raise EngineInvariantError(f"split gave {omega_rows.shape[0]} central characters, not {k}")
 
     omega_root = pow(primitive_root(q), (q - 1) // e, q)
-    assert multiplicative_order(omega_root, q) == e
+    if multiplicative_order(omega_root, q) != e:
+        raise EngineInvariantError(f"omega root must have order {e} mod {q}")
 
     sizes = np.asarray(C.sizes, dtype=np.int64)
     inv_sizes = np.array([pow(int(s), -1, q) for s in C.sizes], dtype=np.int64)
@@ -162,18 +171,22 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     bound = isqrt(G.order)
     for r in range(k):
         sr = int(s[r])
-        assert sr != 0
+        if sr == 0:
+            raise EngineInvariantError("a central character must have a nonzero norm")
         d2 = (G.order * pow(sr, -1, q)) % q
         d = sqrt_mod(d2, q)
         d = min(d, q - d)
-        assert 1 <= d <= bound and (d * d) % q == d2
+        if not (1 <= d <= bound and (d * d) % q == d2):
+            raise EngineInvariantError(f"no degree in [1, {bound}] squares to {d2} mod {q}")
         degrees.append(d)
-    assert sum(d * d for d in degrees) == G.order, "degree squares must sum to the order"
+    if sum(d * d for d in degrees) != G.order:
+        raise EngineInvariantError("degree squares must sum to the order")
 
     deg = np.asarray(degrees, dtype=np.int64)
     chi = (omega_rows * inv_sizes[None, :]) % q
     chi = (chi * deg[:, None]) % q
-    assert np.array_equal(chi[:, 0], deg)
+    if not np.array_equal(chi[:, 0], deg):
+        raise EngineInvariantError("characters must take their degree on the identity class")
     return ModTable(
         q=q, exponent=e, omega_root=omega_root, degrees=tuple(degrees), omega=omega_rows, chi=chi
     )
@@ -224,7 +237,9 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         m = int(orders[g])
         for r in linear:
             j = dlog.get(int(mt.chi[r, c]))
-            assert j is not None, "linear character values must be exponent-th roots of unity"
+            if j is None:
+                raise EngineInvariantError(
+                    "linear character values must be exponent-th roots of unity")
             val = root_memo.get(j)
             if val is None:
                 val = root_memo[j] = CyclotomicValue(e, {j: 1})
@@ -246,19 +261,22 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         MV = ((V @ Wm) % q * pow(m, -1, q)) % q
         for a, r in enumerate(nonlinear):
             mults = MV[a]
-            assert int(mults.sum()) == mt.degrees[r], "multiplicities must sum to the degree"
+            if int(mults.sum()) != mt.degrees[r]:
+                raise EngineInvariantError("multiplicities must sum to the degree")
             values[r][c] = CyclotomicValue(m, {int(j): int(mults[j]) for j in range(m) if mults[j]})
 
     rows = [tuple(row) for row in values]
     trivial = [r for r in range(k) if all(v == 1 for v in rows[r])]
-    assert len(trivial) == 1, "exactly one trivial character"
+    if len(trivial) != 1:
+        raise EngineInvariantError("exactly one trivial character")
     order_keys = sorted(
         (r for r in range(k) if r != trivial[0]),
         key=lambda r: (mt.degrees[r], tuple(v.sort_key() for v in rows[r])),
     )
     perm = trivial + order_keys
     degrees = tuple(mt.degrees[r] for r in perm)
-    assert all(G.order % d == 0 for d in degrees), "degrees must divide the group order"
+    if not all(G.order % d == 0 for d in degrees):
+        raise EngineInvariantError("degrees must divide the group order")
     return CharacterTable(
         group=G,
         classes=C,
@@ -433,12 +451,13 @@ def galois_conjugate(T: CharacterTable, char: int, t: int) -> int:
         raise InputError(f"galois exponent {t} is not a unit mod the exponent {T.exponent}")
     target = tuple(v.galois(t % v.conductor) if v.conductor > 1 else v for v in T.rows[char])
     r = T.row_lookup.get(target)
-    assert r is not None, "a Galois twist of an irreducible row must be in the table"
+    if r is None:
+        raise EngineInvariantError("a Galois twist of an irreducible row must be in the table")
     return r
 
 
-def table_to_json_dict(T: CharacterTable) -> Dict:
-    """Stable, exact JSON form of the table (integers and fractions only)."""
+def _table_header(T: CharacterTable) -> Dict:
+    """Every key of the table's JSON form except ``"values"``."""
     return {
         "format": "acdlab.character-table.v1",
         "order": T.group.order,
@@ -448,9 +467,31 @@ def table_to_json_dict(T: CharacterTable) -> Dict:
         "class_orders": [int(T.group.orders()[r]) for r in T.classes.reps],
         "class_rep_words": [list(T.group.word_for(r)) for r in T.classes.reps],
         "degrees": list(T.degrees),
-        "values": [[v.to_json_dict() for v in row] for row in T.rows],
     }
 
 
+def table_to_json_dict(T: CharacterTable) -> Dict:
+    """Stable, exact JSON form of the table (integers and fractions only)."""
+    data = _table_header(T)
+    data["values"] = [[v.to_json_dict() for v in row] for row in T.rows]
+    return data
+
+
 def table_to_json(T: CharacterTable) -> str:
-    return json.dumps(table_to_json_dict(T), sort_keys=True, separators=(",", ":"))
+    """``table_to_json_dict`` as compact JSON with sorted keys.
+
+    A table has far fewer distinct values than cells, so each distinct value
+    is encoded once and its text reused.  ``"values"`` sorts after every
+    header key, so the rows go at the end of the encoded header.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    memo: Dict[CyclotomicValue, str] = {}
+
+    def fragment(v: CyclotomicValue) -> str:
+        text = memo.get(v)
+        if text is None:
+            text = memo[v] = encode(v.to_json_dict())
+        return text
+
+    rows = ",".join("[" + ",".join(map(fragment, row)) + "]" for row in T.rows)
+    return encode(_table_header(T))[:-1] + ',"values":[' + rows + "]}"

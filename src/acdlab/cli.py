@@ -1,7 +1,8 @@
 """Command-line front end: table queries, average-degree stats, theorem audits.
 
-Exit codes: 0 = success / all audits consistent, 2 = a COUNTEREXAMPLE row was
-produced, 1 = usage or engine error.
+Exit codes: 0 = success / all audits consistent, 1 = usage or input error,
+2 = a COUNTEREXAMPLE row was produced, 3 = an engine invariant check failed
+(a bug in acdlab, not in the input).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import List, Optional
 from .audit import audit_many, has_counterexample, rows_to_jsonl
 from .chartab import character_table, table_to_json
 from .constructions import build, default_catalog, to_text
-from .errors import AcdlabError, InputError
+from .errors import AcdlabError, EngineInvariantError, InputError
 from .fieldvals import format_field, parse_field
 from .group import (
     FiniteGroup,
@@ -143,6 +144,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     try:
         return args.func(args)
+    except EngineInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except AcdlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import perm as pm
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, EngineInvariantError, InputError
 from .group import FiniteGroup, SubgroupHandle, generate_group
 from .number_theory import divisors, is_prime, multiplicative_order
 
@@ -272,7 +272,8 @@ def _field_semidirect_group(p: int, a: int, d: int, cap: Optional[int]) -> Finit
             if order == mul_order:
                 g_idx = cand
                 break
-        assert g_idx is not None, "multiplicative group of a finite field is cyclic"
+        if g_idx is None:
+            raise EngineInvariantError("multiplicative group of a finite field is cyclic")
         h = elems[1]
         for _ in range(mul_order // d):
             h = _poly_mul_mod(h, elems[g_idx], f, p)
@@ -280,7 +281,8 @@ def _field_semidirect_group(p: int, a: int, d: int, cap: Optional[int]) -> Finit
         gens.append(tuple(images))
 
     G = generate_group(gens, degree=size, cap=cap)
-    assert G.order == d * size
+    if G.order != d * size:
+        raise EngineInvariantError(f"field semidirect product has order {G.order}, not {d * size}")
     return G
 
 

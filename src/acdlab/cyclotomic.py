@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, EngineInvariantError, InputError
 from .number_theory import divisors, euler_phi, factorize, fixing_unit_generators, prime_divisors
 
 Rat = Union[int, Fraction]
@@ -26,7 +26,8 @@ def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> List[int]:
     """Divide integer polynomials (lowest-degree first); den monic, exact."""
     num = list(num)
     dn = len(den) - 1
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise EngineInvariantError("polynomial divisor must be monic")
     qn = len(num) - 1 - dn
     quot = [0] * (qn + 1)
     for k in range(qn, -1, -1):
@@ -35,7 +36,8 @@ def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> List[int]:
         if c:
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if not all(c == 0 for c in num):
+        raise EngineInvariantError("non-exact polynomial division")
     return quot
 
 
@@ -159,7 +161,8 @@ def _subfield_solver(m: int, p: int):
         r += 1
         if r == k:
             break
-    assert r == k, "subfield basis rows must be independent"
+    if r != k:
+        raise EngineInvariantError("subfield basis rows must be independent")
     return (
         tuple(pivots),
         tuple(tuple(row) for row in ident),
@@ -273,7 +276,8 @@ def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
             b = [Fraction(v[c]) for c in pivots]
             k, n = len(E), len(v)
             check = [sum(b[i] * R[i][c] for i in range(k)) for c in range(n)]
-            assert all(check[c] == v[c] for c in range(n)), "fixed value must lie in subfield"
+            if not all(check[c] == v[c] for c in range(n)):
+                raise EngineInvariantError("fixed value must lie in subfield")
             coords = {j: sum(b[i] * E[i][j] for i in range(k)) for j in range(k)}
             return _canonical(sub, coords)
 

@@ -21,6 +21,10 @@ class ConstructionError(AcdlabError):
     """A group specification violates one of its validity conditions."""
 
 
+class EngineInvariantError(AcdlabError):
+    """An internal consistency check of the engine failed: a bug, not bad input."""
+
+
 class SpecSyntaxError(AcdlabError):
     """Spec text failed to parse; carries the character offset of the error."""
 

@@ -57,10 +57,13 @@ class FiniteGroup:
         self._orders: Optional[Tuple[int, ...]] = None
         self._exponent: Optional[int] = None
         self._classes: Optional["ClassData"] = None
-        self._derived: Optional["SubgroupHandle"] = None
+        # Subgroups are cached as index tuples, not SubgroupHandles: a handle
+        # refers back to its parent, and that cycle would keep the group alive
+        # until the cyclic garbage collector runs.
+        self._derived: Optional[Tuple[int, ...]] = None
         self._solvable: Optional[bool] = None
         self._np: Optional[np.ndarray] = None
-        self._pnil: Dict[int, Tuple[bool, Optional["SubgroupHandle"]]] = {}
+        self._pnil: Dict[int, Optional[Tuple[int, ...]]] = {}  # p -> complement or None
 
     # -- basic structure ---------------------------------------------------
 
@@ -423,15 +426,14 @@ def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> SubgroupHandle:
 
 def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
     """Commutator subgroup: normal closure of generator commutators."""
-    if G._derived is not None:
-        return G._derived
-    inv = G.inverse_table()
-    comms = set()
-    for a in G.generator_indices:
-        for b in G.generator_indices:
-            comms.add(G.mul(G.mul(inv[a], inv[b]), G.mul(a, b)))
-    G._derived = normal_closure(G, comms)
-    return G._derived
+    if G._derived is None:
+        inv = G.inverse_table()
+        comms = set()
+        for a in G.generator_indices:
+            for b in G.generator_indices:
+                comms.add(G.mul(G.mul(inv[a], inv[b]), G.mul(a, b)))
+        G._derived = normal_closure(G, comms).indices
+    return SubgroupHandle(G, G._derived)
 
 
 def _derived_of_handle(G: FiniteGroup, H: SubgroupHandle) -> SubgroupHandle:
@@ -535,33 +537,30 @@ def is_p_nilpotent(G: FiniteGroup, p: int, want_certificate: bool = True
 
     Test: the set S of elements whose order is coprime to p must have exactly
     p'-part-of-|G| members and be closed under multiplication; S is then the
-    unique normal p-complement.
+    unique normal p-complement.  With ``want_certificate=False`` the
+    certificate is left out (None).
     """
     if not is_prime(p):
         raise InputError(f"p-nilpotence needs a prime, got {p}")
-    cached = G._pnil.get(p)
-    if cached is not None:
-        return cached
-    target = p_prime_part(G.order, p)
-    orders = G.orders()
-    S = [i for i in range(G.order) if orders[i] % p != 0]
-    result: Tuple[bool, Optional[SubgroupHandle]]
-    if len(S) != target:
-        result = (False, None)
-    else:
-        gens: List[int] = []
-        closed: Set[int] = {0}
-        ok = True
-        for i in S:
-            if i not in closed:
-                gens.append(i)
-                grown = _mult_closure(G, gens, limit=target)
-                if grown is None:
-                    ok = False
-                    break
-                closed = grown
-        result = (ok and len(closed) == target, None)
-        if result[0]:
-            result = (True, SubgroupHandle(G, S))
-    G._pnil[p] = result
-    return result
+    if p not in G._pnil:
+        target = p_prime_part(G.order, p)
+        orders = G.orders()
+        S = [i for i in range(G.order) if orders[i] % p != 0]
+        ok = len(S) == target
+        if ok:
+            gens: List[int] = []
+            closed: Set[int] = {0}
+            for i in S:
+                if i not in closed:
+                    gens.append(i)
+                    grown = _mult_closure(G, gens, limit=target)
+                    if grown is None:
+                        ok = False
+                        break
+                    closed = grown
+            ok = ok and len(closed) == target
+        G._pnil[p] = tuple(S) if ok else None
+    complement = G._pnil[p]
+    if complement is None:
+        return False, None
+    return True, SubgroupHandle(G, complement) if want_certificate else None

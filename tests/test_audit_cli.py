@@ -1,12 +1,15 @@
 """Audit engine rows and the command-line front end."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import acdlab.audit as audit_mod
 import acdlab.cli as cli
 from acdlab.audit import (
     COUNTEREXAMPLE,
@@ -17,8 +20,9 @@ from acdlab.audit import (
     resolve_statements,
     rows_to_jsonl,
     STATEMENT_NAMES,
+    _rows_for_spec,
 )
-from acdlab.errors import InputError
+from acdlab.errors import EngineInvariantError, InputError
 from acdlab.specparse import parse_group_spec
 
 
@@ -159,6 +163,24 @@ class TestAuditRows:
         b = audit_many(["first"], ["D(14)"])
         assert a == b
 
+    def test_audited_group_freed_without_cycle_collector(self, monkeypatch):
+        built = []
+        real_build = audit_mod.build
+
+        def spy(spec):
+            G = real_build(spec)
+            built.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(audit_mod, "build", spy)
+        gc.disable()
+        try:
+            rows = _rows_for_spec("F(13,3)", STATEMENT_NAMES)
+            assert rows and len(built) == 1
+            assert built[0]() is None, "the audited group must be freed by reference counting"
+        finally:
+            gc.enable()
+
 
 class TestRowSerialization:
     def test_json_key_order_and_fractions(self):
@@ -218,6 +240,16 @@ class TestCliTable:
         rc, out, err = run_cli(capsys, "table", "X(3)")
         assert rc == 1
         assert err.startswith("error:")
+
+    def test_engine_invariant_exit_code(self, capsys, monkeypatch):
+        def broken(G):
+            raise EngineInvariantError("degree squares must sum to the order")
+
+        monkeypatch.setattr(cli, "character_table", broken)
+        rc, out, err = run_cli(capsys, "table", "S(3)")
+        assert rc == 3
+        assert out == ""
+        assert err == "internal error: degree squares must sum to the order\n"
 
 
 class TestCliStats:

@@ -7,6 +7,7 @@ ordering beyond "identity class first".
 """
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from acdlab.chartab import (
     table_to_json_dict,
     verify_orthogonality,
 )
-from acdlab.constructions import build
+from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
 from acdlab.group import element_order, is_normal
 from acdlab.specparse import parse_group_spec
@@ -327,6 +328,40 @@ class TestJsonOutput:
     def test_dict_matches_json(self, cache):
         T = cache.table("S(3)")
         assert json.loads(table_to_json(T)) == table_to_json_dict(T)
+
+    @staticmethod
+    def dumps_dict(T):
+        return json.dumps(table_to_json_dict(T), sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("text", ["S(4)", "SD(3,2,8)", "Q8*C(26)", "C(113)"])
+    def test_writer_bytes_match_dict_dumps(self, cache, text):
+        T = cache.table(text)
+        assert table_to_json(T) == self.dumps_dict(T)
+
+    def test_writer_bytes_on_unusual_values(self, cache):
+        T = cache.table("S(3)")
+        w = CyclotomicValue(3, {1: 1})
+        w_again = CyclotomicValue(3, {1: 1})
+        assert w == w_again and w is not w_again
+        mixed = CyclotomicValue(3, {1: -2, 2: Fraction(-3, 4)})
+        rows = (
+            (CyclotomicValue.rational(Fraction(1, 2)), w, w_again),
+            (mixed, w_again, CyclotomicValue.rational(-7)),
+            (w, CyclotomicValue.rational(Fraction(-5, 3)), w),
+        )
+        odd = dataclasses.replace(T, rows=rows)
+        blob = table_to_json(odd)
+        assert blob == self.dumps_dict(odd)
+        values = json.loads(blob)["values"]
+        assert values[0][1] == values[0][2] == values[1][1] == {"c": [[0, 1], [1, 1]], "m": 3}
+        assert values[0][0] == {"c": [[1, 2]], "m": 1}
+
+    def test_table_digest_over_catalog(self, cache):
+        h = hashlib.sha256()
+        for spec in default_catalog():
+            text = to_text(spec)
+            h.update((text + "\n" + table_to_json(cache.table(text)) + "\n").encode())
+        assert h.hexdigest() == "a7ff53db15afb963bd49f9bc6c9b8f781f5a779276a94d96574002f1ca6432f4"
 
 
 class TestInternals:

@@ -7,6 +7,8 @@ expression in complex floats and must agree to high precision.
 
 import cmath
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,11 +18,12 @@ import numpy as np
 
 from acdlab.cyclotomic import (
     CyclotomicValue,
+    _polydiv_exact,
     cyclotomic_poly,
     exponent_counts_to_coordinates,
     zeta,
 )
-from acdlab.errors import DomainError, InputError
+from acdlab.errors import DomainError, EngineInvariantError, InputError
 
 
 def numeric(x: CyclotomicValue) -> complex:
@@ -263,3 +266,25 @@ class TestExponentCounts:
                 counts = np.zeros((1, m), dtype=np.int64)
                 counts[0, :: m // d] = 1
                 assert not exponent_counts_to_coordinates(counts, m).any(), (m, d)
+
+
+class TestEngineInvariants:
+    def test_non_exact_division_raises(self):
+        assert _polydiv_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+        with pytest.raises(EngineInvariantError, match="non-exact polynomial division"):
+            _polydiv_exact([1, 0, 1], [-1, 1])
+
+    def test_checks_survive_python_O(self):
+        # Under -O the bare assert is stripped; the invariant check must still raise.
+        code = (
+            "assert False\n"
+            "from acdlab.cyclotomic import _polydiv_exact\n"
+            "_polydiv_exact([1, 0, 1], [-1, 1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: non-exact polynomial division"), proc.stderr

@@ -414,6 +414,16 @@ class TestPNilpotence:
         with pytest.raises(InputError):
             is_p_nilpotent(build(Cyclic(6)), 4)
 
+    def test_cached_answer_and_certificate(self):
+        G = build(Alternating(4))
+        assert is_p_nilpotent(G, 3, want_certificate=False) == (True, None)
+        ok, cert = is_p_nilpotent(G, 3)
+        assert ok and cert.order == 4
+        assert is_p_nilpotent(G, 3) == (True, cert)
+        assert is_p_nilpotent(G, 2) == (False, None)
+        assert is_p_nilpotent(G, 2, want_certificate=False) == (False, None)
+        assert derived_subgroup(G) == derived_subgroup(G) == cert
+
     @given(st.sampled_from([
         Cyclic(8), Cyclic(30), Dihedral(8), Dihedral(18), Dihedral(24),
         Symmetric(3), Symmetric(4), Alternating(4), Quaternion8(),
