@@ -279,12 +279,7 @@ def _central_prime_subgroups(bundle: _Bundle) -> List[Tuple[str, SubgroupHandle]
     for z in Z.indices:
         if z == 0 or not is_prime(orders[z]) or z in Gp:
             continue
-        members = [0]
-        i = z
-        while i != 0:
-            members.append(i)
-            i = G.mul(i, z)
-        found[tuple(sorted(members))] = orders[z]
+        found[tuple(sorted(G.powers(z, orders[z])))] = orders[z]
     per_prime: Dict[int, int] = {}
     out = []
     for members, q in sorted(found.items()):

@@ -37,7 +37,10 @@ def _resolve_subgroup(G: FiniteGroup, text: str) -> SubgroupHandle:
     if text == "center":
         return center(G)
     if text.startswith("minimal:"):
-        idx = int(text.split(":", 1)[1])
+        try:
+            idx = int(text.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"subgroup spec {text!r}: expected minimal:<i> with an integer i")
         mns = minimal_normal_subgroups(G)
         if not 0 <= idx < len(mns):
             raise InputError(f"group has {len(mns)} minimal normal subgroups, index {idx} is out of range")
@@ -81,12 +84,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _read_catalog(path: str) -> List[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read catalog {path!r}: {exc.strerror}")
     texts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                texts.append(stripped)
+    for line in lines:
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            texts.append(stripped)
     return texts
 
 

@@ -5,6 +5,11 @@ from the sorted generator list, identity at index 0.  Every element is known
 by its index, all operations below are pure functions of the group object,
 and results are cached on the instance, so a group can be shared freely
 between computations (and across forked worker processes).
+
+``generate_group`` creates the index with its own block-wise closure.  Every
+later closure over element indices (conjugacy classes, generated subgroups,
+conjugation inside a subgroup, the p-complement test) is one call of
+:func:`_orbit`, with a step that maps a whole frontier at once.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .perm import Perm
 
 DEFAULT_ORDER_CAP = 20000
 ORDER_CAP_ENV = "ACDLAB_ORDER_CAP"
+MAX_DEGREE = 65535  # elements are packed as uint16 image rows
 
 
 def resolve_order_cap(cap: Optional[int] = None) -> int:
@@ -182,6 +188,8 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
         deg = 1 if degree is None else degree
         if deg < 1:
             raise InputError("degree must be at least 1")
+    if deg > MAX_DEGREE:
+        raise InputError(f"degree {deg} exceeds the limit of {MAX_DEGREE} points")
     ident = pm.identity(deg)
     gen_perms = [g for g in gen_perms if g != ident]
 
@@ -221,6 +229,47 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
     return group
 
 
+# -- orbits ------------------------------------------------------------------
+
+
+def _orbit(seeds: Iterable[int], step: Callable[[List[int]], Iterable[int]],
+           limit: Optional[int] = None) -> Optional[List[int]]:
+    """Breadth-first closure of the seed indices under step.
+
+    ``step(frontier)`` returns the images of a whole frontier.  The result
+    lists the seeds, then each new image in discovery order; it is None once
+    the closure holds more than ``limit`` elements.
+    """
+    seen = dict.fromkeys(seeds)  # insertion-ordered set
+    frontier = list(seen)
+    while frontier:
+        new: List[int] = []
+        for y in step(frontier):
+            if y not in seen:
+                seen[y] = None
+                new.append(y)
+        if limit is not None and len(seen) > limit:
+            return None
+        frontier = new
+    return list(seen)
+
+
+def _product_step(G: FiniteGroup, factors: Sequence[Tuple[int, int]]
+                  ) -> Callable[[List[int]], List[int]]:
+    """Orbit step mapping each frontier element x to l x r for every (l, r) in factors."""
+    npE = G.np_elements()
+    left = npE[[l for l, _ in factors]]
+    right = npE[[r for _, r in factors]]
+    which = np.arange(len(factors))[:, None]
+
+    def step(frontier: List[int]) -> List[int]:
+        # rows[a, b, i] = x_a[r_b[i]]; then l_b is applied to each row.
+        rows = npE[frontier][:, right]
+        return G.index_rows(left[which, rows].reshape(-1, G.degree)).tolist()
+
+    return step
+
+
 # -- conjugacy classes ------------------------------------------------------
 
 
@@ -251,27 +300,21 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
         g = npE[i]
         ginv = npE[G.inv(i)]
         conj_maps.append(G.index_rows(g[npE[:, ginv]]).tolist())
+
+    def step(frontier: List[int]) -> List[int]:
+        return [m[x] for x in frontier for m in conj_maps]
+
     class_of = [-1] * n
     reps: List[int] = []
+    members: List[List[int]] = []
     for start in range(n):
         if class_of[start] != -1:
             continue
-        c = len(reps)
+        orbit = sorted(_orbit([start], step))
+        for x in orbit:
+            class_of[x] = len(reps)
         reps.append(start)
-        class_of[start] = c
-        frontier = [start]
-        while frontier:
-            nxt: List[int] = []
-            for x in frontier:
-                for conj in conj_maps:
-                    y = conj[x]
-                    if class_of[y] == -1:
-                        class_of[y] = c
-                        nxt.append(y)
-            frontier = nxt
-    members: List[List[int]] = [[] for _ in reps]
-    for i, c in enumerate(class_of):
-        members[c].append(i)
+        members.append(orbit)
     inv = G.inverse_table()
     inverse_class = tuple(class_of[inv[r]] for r in reps)
     data = ClassData(
@@ -349,111 +392,64 @@ def trivial_subgroup(G: FiniteGroup) -> SubgroupHandle:
     return SubgroupHandle(G, (0,))
 
 
-def _mult_closure(G: FiniteGroup, gen_idx: Sequence[int], limit: Optional[int] = None) -> Optional[Set[int]]:
-    """Multiplicative closure of the given elements; None if it grows past limit."""
-    out: Set[int] = {0}
-    frontier = [0]
-    while frontier:
-        nxt: List[int] = []
-        for x in frontier:
-            for g in gen_idx:
-                y = G.mul(x, g)
-                if y not in out:
-                    out.add(y)
-                    if limit is not None and len(out) > limit:
-                        return None
-                    nxt.append(y)
-        frontier = nxt
-    return out
+def _closure(G: FiniteGroup, candidates: Iterable[int], limit: Optional[int] = None
+             ) -> Optional[Tuple[List[int], Set[int]]]:
+    """Greedy generators and members of the subgroup the candidates generate.
 
-
-def _greedy_generators(G: FiniteGroup, members: Sequence[int]) -> List[int]:
-    """A short generating list for a subgroup given as its member indices."""
+    Each candidate not yet in the closure becomes a generator, and the closure
+    is grown again.  None once the closure holds more than ``limit`` elements.
+    """
     gens: List[int] = []
-    have: Set[int] = {0}
-    for i in members:
-        if i not in have:
+    members: Set[int] = {0}
+    for i in candidates:
+        if i not in members:
             gens.append(i)
-            have = _mult_closure(G, gens)  # type: ignore[assignment]
-            if len(have) == len(members):
-                break
-    return gens
+            grown = _orbit([0], _product_step(G, [(0, g) for g in gens]), limit)
+            if grown is None:
+                return None
+            members = set(grown)
+    return gens, members
 
 
-def _conjugation_closure(G: FiniteGroup, seed: Iterable[int], conjugator_idx: Sequence[int]) -> Set[int]:
-    """Smallest superset of seed closed under conjugation by the given elements."""
-    out: Set[int] = set(seed)
-    frontier = list(out)
-    conj = [(G.elements[i], pm.inverse(G.elements[i])) for i in conjugator_idx]
-    pack, index = G._pack, G._index
-    while frontier:
-        nxt: List[int] = []
-        for x in frontier:
-            px = G.elements[x]
-            for g, ginv in conj:
-                y = index[pack(pm.compose(g, pm.compose(px, ginv)))]
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
+def _commutators(G: FiniteGroup, gens: Sequence[int]) -> Set[int]:
+    """Indices of the nontrivial commutators a^-1 b^-1 a b over pairs of gens."""
+    npE = G.np_elements()
+    inv = G.inverse_table()
+    a = np.repeat(np.asarray(gens, dtype=np.intp), len(gens))
+    b = np.tile(np.asarray(gens, dtype=np.intp), len(gens))
+    rows = npE[b]
+    for f in (a, [inv[i] for i in b], [inv[i] for i in a]):
+        rows = np.take_along_axis(npE[f], rows, axis=1)
+    return set(G.index_rows(rows).tolist()) - {0}
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> SubgroupHandle:
     """The subgroup generated by the given element indices."""
-    gens: List[int] = []
-    closed: Set[int] = {0}
-    for i in sorted(set(seed)):
-        if i not in closed:
-            gens.append(i)
-            closed = _mult_closure(G, gens)  # type: ignore[assignment]
-    return SubgroupHandle(G, closed)
+    return SubgroupHandle(G, _closure(G, sorted(set(seed)))[1])  # type: ignore[index]
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> SubgroupHandle:
-    """Smallest normal subgroup of G containing the seed elements."""
-    orbit = _conjugation_closure(G, set(seed) - {0}, G.generator_indices)
-    if not orbit:
-        return trivial_subgroup(G)
-    gens: List[int] = []
-    closed: Set[int] = {0}
-    for i in sorted(orbit):
-        if i not in closed:
-            gens.append(i)
-            closed = _mult_closure(G, gens)  # type: ignore[assignment]
-    return SubgroupHandle(G, closed)
+    """Smallest normal subgroup of G containing the seed elements.
+
+    It is generated by the conjugacy classes of the seeds.
+    """
+    C = conjugacy_classes(G)
+    return subgroup_generated(G, [x for c in {C.class_of[s] for s in seed} for x in C.members[c]])
 
 
 def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
     """Commutator subgroup: normal closure of generator commutators."""
     if G._derived is None:
-        inv = G.inverse_table()
-        comms = set()
-        for a in G.generator_indices:
-            for b in G.generator_indices:
-                comms.add(G.mul(G.mul(inv[a], inv[b]), G.mul(a, b)))
-        G._derived = normal_closure(G, comms).indices
+        G._derived = normal_closure(G, _commutators(G, G.generator_indices)).indices
     return SubgroupHandle(G, G._derived)
 
 
 def _derived_of_handle(G: FiniteGroup, H: SubgroupHandle) -> SubgroupHandle:
-    gens = _greedy_generators(G, H.indices) or [0]
+    """Commutator subgroup of H: closure of its generator commutators under conjugation in H."""
+    gens = _closure(G, H.indices)[0]  # type: ignore[index]
     inv = G.inverse_table()
-    comms = set()
-    for a in gens:
-        for b in gens:
-            comms.add(G.mul(G.mul(inv[a], inv[b]), G.mul(a, b)))
-    comms.discard(0)
-    if not comms:
-        return trivial_subgroup(G)
-    orbit = _conjugation_closure(G, comms, gens)
-    sub_gens: List[int] = []
-    closed: Set[int] = {0}
-    for i in sorted(orbit):
-        if i not in closed:
-            sub_gens.append(i)
-            closed = _mult_closure(G, sub_gens)  # type: ignore[assignment]
-    return SubgroupHandle(G, closed)
+    conj = _orbit(_commutators(G, gens), _product_step(G, [(g, inv[g]) for g in gens]))
+    return subgroup_generated(G, conj)  # type: ignore[arg-type]
 
 
 def derived_series(G: FiniteGroup) -> List[SubgroupHandle]:
@@ -506,8 +502,9 @@ def subgroup_intersection(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandl
 
 
 def is_normal(G: FiniteGroup, H: SubgroupHandle) -> bool:
-    members = H.member_set()
-    return all(G.conjugate(g, x) in members for g in G.generator_indices for x in H.indices)
+    """H is normal exactly when it is the union of the classes it meets."""
+    C = conjugacy_classes(G)
+    return sum(C.sizes[c] for c in {C.class_of[x] for x in H.indices}) == H.order
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:
@@ -525,10 +522,9 @@ def point_stabilizer(G: FiniteGroup, point: int) -> SubgroupHandle:
 
 def subgroup_as_group(G: FiniteGroup, H: SubgroupHandle) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Rebuild a subgroup as a standalone group; also return the index map back into G."""
-    gens = _greedy_generators(G, H.indices)
+    gens = _closure(G, H.indices)[0]  # type: ignore[index]
     sub = generate_group([G.elements[i] for i in gens], degree=G.degree, cap=G.order)
-    to_parent = tuple(G.index_of(p) for p in sub.elements)
-    return sub, to_parent
+    return sub, tuple(G.index_rows(sub.np_elements()).tolist())
 
 
 def is_p_nilpotent(G: FiniteGroup, p: int, want_certificate: bool = True
@@ -546,19 +542,8 @@ def is_p_nilpotent(G: FiniteGroup, p: int, want_certificate: bool = True
         target = p_prime_part(G.order, p)
         orders = G.orders()
         S = [i for i in range(G.order) if orders[i] % p != 0]
-        ok = len(S) == target
-        if ok:
-            gens: List[int] = []
-            closed: Set[int] = {0}
-            for i in S:
-                if i not in closed:
-                    gens.append(i)
-                    grown = _mult_closure(G, gens, limit=target)
-                    if grown is None:
-                        ok = False
-                        break
-                    closed = grown
-            ok = ok and len(closed) == target
+        # The closure contains S, so staying within target means it is S.
+        ok = len(S) == target and _closure(G, S, limit=target) is not None
         G._pnil[p] = tuple(S) if ok else None
     complement = G._pnil[p]
     if complement is None:

@@ -289,6 +289,12 @@ class TestCliStats:
         assert rc == 1
         assert "error:" in err
 
+    def test_non_integer_quotient_index(self, capsys):
+        rc, out, err = run_cli(capsys, "stats", "S(4)", "--quotient", "minimal:x")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "minimal:x" in err
+
 
 class TestCliAudit:
     def test_catalog_file(self, capsys, tmp_path):
@@ -323,6 +329,13 @@ class TestCliAudit:
         rc, _, err = run_cli(capsys, "audit", "nope")
         assert rc == 1
         assert "error:" in err
+
+    def test_missing_catalog_file(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent"
+        rc, out, err = run_cli(capsys, "audit", "first", "--catalog", str(missing))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and str(missing) in err
 
     def test_bad_catalog_entry(self, capsys, tmp_path):
         cat = tmp_path / "cat.txt"

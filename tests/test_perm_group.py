@@ -124,6 +124,11 @@ class TestGenerateGroup:
         with pytest.raises(InputError):
             generate_group([[1, 2, 3, 4, 5, 6, 0]])
 
+    def test_degree_above_packing_limit_rejected(self):
+        transposition = [1, 0] + list(range(2, 70000))
+        with pytest.raises(InputError, match="65535"):
+            generate_group([transposition])
+
     def test_mismatched_degrees_rejected(self):
         with pytest.raises(InputError):
             generate_group([[1, 0], [1, 2, 0]])
@@ -201,21 +206,70 @@ def _classes_by_loop(G):
     return class_of
 
 
+def _span_by_loop(start, moves):
+    """Every tuple reachable from start by the moves, each a function tuple -> tuple."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _generated_by_loop(ident, perms):
+    return _span_by_loop([ident], [lambda x, g=g: pm.compose(x, g) for g in perms])
+
+
+def _conjugates_by_loop(perms, conjugators):
+    return _span_by_loop(perms, [lambda x, g=g: pm.compose(g, pm.compose(x, pm.inverse(g)))
+                                 for g in conjugators])
+
+
+def _generators_by_loop(ident, members):
+    """Greedy generating list for a subgroup given as its tuples."""
+    gens, span = [], {ident}
+    for x in members:
+        if x not in span:
+            gens.append(x)
+            span = _generated_by_loop(ident, gens)
+    return gens
+
+
+def _derived_by_loop(ident, members):
+    """Commutator subgroup: generator commutators, closed under conjugation, then generated."""
+    gens = _generators_by_loop(ident, members)
+    comms = [pm.compose(pm.compose(pm.inverse(a), pm.inverse(b)), pm.compose(a, b))
+             for a in gens for b in gens]
+    return _generated_by_loop(ident, _conjugates_by_loop(comms, gens))
+
+
+def _p_complement_by_loop(G, p):
+    """The set of p'-elements if it is a subgroup of order the p'-part of |G|, else None."""
+    S = {x for x in G.elements if pm.order_of(x) % p != 0}
+    if len(S) != p_prime_part(G.order, p):
+        return None
+    return S if all(pm.compose(a, b) in S for a in S for b in S) else None
+
+
+LOOP_REFERENCE_GROUPS = [
+    build(Symmetric(4)),
+    build(FieldSemidirect(7, 1, 3)),
+    build(DirectProduct(Cyclic(3), Dihedral(5))),
+    build(Quaternion8()),
+    # Degree above 255 takes the 16-bit packing.
+    generate_group([list(range(1, 300)) + [0]]),
+]
+LOOP_REFERENCE_IDS = ["S4", "F21", "C3xD10", "Q8", "C300"]
+
+
 class TestAgainstLoopReference:
     """Array-based group routines give exactly what plain tuple loops give."""
 
-    @pytest.mark.parametrize(
-        "G",
-        [
-            build(Symmetric(4)),
-            build(FieldSemidirect(7, 1, 3)),
-            build(DirectProduct(Cyclic(3), Dihedral(5))),
-            build(Quaternion8()),
-            # Degree above 255 takes the 16-bit packing.
-            generate_group([list(range(1, 300)) + [0]]),
-        ],
-        ids=["S4", "F21", "C3xD10", "Q8", "C300"],
-    )
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_group_tables(self, G):
         elements, parents = _closure_by_loop(G.generators)
         assert list(G.elements) == elements
@@ -227,6 +281,50 @@ class TestAgainstLoopReference:
         for i in range(0, G.order, max(1, G.order // 7)):
             m = G.orders()[i]
             assert G.powers(i, m) == [G.power(i, t) for t in range(m)]
+
+    @staticmethod
+    def _seeds(G):
+        return ([1], [G.order // 2], [G.order - 1], [1, G.order // 3])
+
+    @staticmethod
+    def _perms(G, H):
+        return {G.elements[i] for i in H.indices}
+
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
+    def test_generated_and_normal_closure(self, G):
+        ident = G.elements[0]
+        for seed in self._seeds(G):
+            perms = [G.elements[i] for i in seed]
+            assert self._perms(G, subgroup_generated(G, seed)) == _generated_by_loop(ident, perms)
+            assert self._perms(G, normal_closure(G, seed)) == _generated_by_loop(
+                ident, _conjugates_by_loop(perms, G.generators))
+
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
+    def test_derived_series(self, G):
+        ident = G.elements[0]
+        want = [set(G.elements)]
+        while True:
+            want.append(_derived_by_loop(ident, want[-1]))
+            if len(want[-1]) in (1, len(want[-2])):
+                break
+        assert [self._perms(G, H) for H in derived_series(G)] == want
+
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
+    def test_is_normal(self, G):
+        subgroups = [derived_subgroup(G), point_stabilizer(G, 0)]
+        subgroups += [subgroup_generated(G, seed) for seed in self._seeds(G)]
+        for H in subgroups:
+            members = self._perms(G, H)
+            want = _conjugates_by_loop(members, G.generators) == members
+            assert is_normal(G, H) == want
+
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
+    def test_is_p_nilpotent(self, G):
+        for p in prime_divisors(G.order):
+            want = _p_complement_by_loop(G, p)
+            ok, K = is_p_nilpotent(G, p)
+            assert ok == (want is not None)
+            assert (self._perms(G, K) if ok else K) == want
 
 
 class TestConjugacyClasses:
