@@ -29,10 +29,10 @@ from .group import (
 )
 from .linalg_mod import (
     charpoly_mod,
+    left_eigenspaces_mod,
     nullspace_mod,
     poly_roots_mod,
     rref_mod,
-    simple_left_eigenvectors_mod,
     sqrt_mod,
 )
 from .number_theory import is_prime, multiplicative_order, primitive_root
@@ -95,7 +95,18 @@ class ModTable:
 
 
 def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int) -> List[np.ndarray]:
-    """Common eigenvectors (as normalized rows) of all class matrices mod q."""
+    """Common eigenvectors (as normalized rows) of all class matrices mod q.
+
+    Dixon's method (Numer. Math. 10, 1967) as refined by Schneider (J. Symb.
+    Comput. 9, 1990): the class matrices commute, so restricting one after
+    another to the eigenspaces found so far splits F_q^k into the k
+    one-dimensional common eigenspaces, the central characters.  Each
+    restriction B is split by ``left_eigenspaces_mod`` in one block Krylov
+    pass; ``nullspace_mod`` runs only for a root whose block fell short.
+    Every split is checked: the subspace is invariant, the eigenspaces stay
+    independent and fill it (B is diagonalizable), and each final row is 1
+    on the identity class.
+    """
     k = C.num_classes
     spaces: List[Tuple[np.ndarray, List[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
     i = 1
@@ -118,14 +129,10 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int) -> List[np.ndarray]
             if len(roots) <= 1:
                 nxt.append((W, piv))
                 continue
-            simple = simple_left_eigenvectors_mod(B, f, roots, q)
             total = 0
-            for r, lam in enumerate(roots):
-                if simple is not None:
-                    U = simple[r:r + 1]
-                else:
-                    A = (B.T - lam * np.eye(s, dtype=np.int64)) % q
-                    U = nullspace_mod(A, q)
+            for lam, U in zip(roots, left_eigenspaces_mod(B, f, roots, q)):
+                if U is None:
+                    U = nullspace_mod((B.T - lam * np.eye(s, dtype=np.int64)) % q, q)
                 t = U.shape[0]
                 if t < 1:
                     raise EngineInvariantError("an eigenvalue root must have an eigenvector")

@@ -395,33 +395,111 @@ class TestInternals:
         assert a[t][t][0] == 3
         assert all((a[i] == class_matrix(G, C, i)).all() for i in range(n))
 
-    def test_simple_left_eigenvectors(self):
+    def test_simple_left_eigenvectors(self, monkeypatch):
+        from acdlab import linalg_mod
         from acdlab.linalg_mod import (
             charpoly_mod,
+            left_eigenspaces_mod,
+            nullspace_mod,
             poly_roots_mod,
             rref_mod,
             simple_left_eigenvectors_mod,
         )
 
+        assert simple_left_eigenvectors_mod is left_eigenspaces_mod
         q = 101
         rng = np.random.default_rng(7)
-        # Unit lower times unit upper triangular: always invertible.
-        lower = np.tril(rng.integers(0, q, size=(6, 6)), -1) + np.eye(6, dtype=np.int64)
-        upper = np.triu(rng.integers(0, q, size=(6, 6)), 1) + np.eye(6, dtype=np.int64)
-        P = (lower @ upper) % q
-        aug, piv = rref_mod(np.hstack([P, np.eye(6, dtype=np.int64)]), q)
-        assert piv[:6] == list(range(6))
-        Pinv = aug[:, 6:]
-        for diag, simple in (([3, 5, 7, 11, 13, 17], True), ([3, 3, 7, 11, 13, 17], False)):
-            # B = P^-1 D P has the rows of P as left eigenvectors.
-            B = (Pinv @ np.diag(diag) @ P) % q
+
+        def basis(n):
+            # Unit lower times unit upper triangular: always invertible.
+            lower = np.tril(rng.integers(0, q, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+            upper = np.triu(rng.integers(0, q, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+            P = (lower @ upper) % q
+            aug, piv = rref_mod(np.hstack([P, np.eye(n, dtype=np.int64)]), q)
+            assert piv[:n] == list(range(n))
+            return P, aug[:, n:]
+
+        def split(J, P, Pinv):
+            # B = P^-1 J P; for diagonal J the rows of P are left eigenvectors.
+            B = (Pinv @ J @ P) % q
             f = charpoly_mod(B, q)
             roots = poly_roots_mod(f, q)
-            X = simple_left_eigenvectors_mod(B, f, roots, q)
-            if not simple:
-                assert X is None
-                continue
-            assert X is not None and X.shape == (6, 6)
-            for lam, x in zip(roots, X):
-                assert x.any()
-                assert not ((x @ B - lam * x) % q).any()
+            return B, roots, left_eigenspaces_mod(B, f, roots, q)
+
+        def null_basis(B, lam):
+            n = B.shape[0]
+            return rref_mod(nullspace_mod((B.T - lam * np.eye(n, dtype=np.int64)) % q, q), q)[0]
+
+        P, Pinv = basis(6)
+        for diag in ([3, 5, 7, 11, 13, 17], [3, 3, 7, 11, 13, 17], [3, 3, 3, 7, 7, 17]):
+            B, roots, spaces = split(np.diag(diag), P, Pinv)
+            assert roots == sorted(set(diag))
+            for lam, U in zip(roots, spaces):
+                assert U is not None and U.shape[0] == diag.count(lam)
+                assert np.array_equal(U, null_basis(B, lam))
+
+        # A Jordan block at 3: multiplicity 2 but a 1-dim eigenspace.
+        J = np.diag([3, 3, 7, 11, 13, 17])
+        J[0, 1] = 1
+        B, roots, spaces = split(J, P, Pinv)
+        assert roots[0] == 3 and null_basis(B, 3).shape[0] == 1
+        assert spaces[0] is None
+        # The simple roots' g_i(B) keep a component along the Jordan block,
+        # so whatever is returned for them must still be their eigenspace.
+        for lam, U in zip(roots[1:], spaces[1:]):
+            assert U is None or np.array_equal(U, null_basis(B, lam))
+
+        # Multiplicity 8 among 9 roots of a 16 by 16 matrix is beyond the
+        # block's 4 * 16 / 9 = 7 rows: that root alone is left to the caller.
+        diag = [2] * 8 + [3, 5, 7, 11, 13, 17, 19, 23]
+        B, roots, spaces = split(np.diag(diag), *basis(16))
+        assert [U is None for U in spaces] == [lam == 2 for lam in roots]
+        for lam, U in zip(roots[1:], spaces[1:]):
+            assert np.array_equal(U, null_basis(B, lam))
+
+        # A block with no component along the eigenvector of 7 (the third
+        # row of P) falls back for that root only.
+        def block_missing_7(B, b, q):
+            C = rng.integers(1, q, size=(b, 6))
+            C[:, 2] = 0
+            return (C @ P) % q
+
+        monkeypatch.setattr(linalg_mod, "_block_for", block_missing_7)
+        B, roots, spaces = split(np.diag([3, 5, 7, 11, 13, 17]), P, Pinv)
+        assert [U is None for U in spaces] == [lam == 7 for lam in roots]
+        for lam, U in zip(roots, spaces):
+            if U is not None:
+                assert np.array_equal(U, null_basis(B, lam))
+
+    def test_non_diagonalizable_restriction_raises(self, monkeypatch):
+        import types
+
+        import acdlab.chartab as chartab
+        from acdlab.errors import EngineInvariantError
+
+        # The split transposes class matrices, so this one acts as a Jordan
+        # block at 2 next to a simple root 5.
+        J = np.array([[2, 1, 0], [0, 2, 0], [0, 0, 5]], dtype=np.int64)
+        monkeypatch.setattr(chartab, "class_matrix", lambda G, C, i: J.T)
+        with pytest.raises(EngineInvariantError, match="diagonalizable"):
+            chartab._split_eigenspaces(None, types.SimpleNamespace(num_classes=3), 13)
+
+    @pytest.mark.parametrize("text", ["C(150)", "C(2)*C(90)"])
+    def test_split_takes_few_null_spaces(self, cache, monkeypatch, text):
+        import acdlab.chartab as chartab
+
+        # q = k + 1 makes sum(1..k) = 0 mod q and C(2)*C(90) has roots of
+        # multiplicity 2; the parent split took a null space per root here.
+        shapes = []
+        real = chartab.nullspace_mod
+
+        def counted(A, q):
+            shapes.append(A.shape)
+            return real(A, q)
+
+        monkeypatch.setattr(chartab, "nullspace_mod", counted)
+        G = cache.group(text)
+        T = character_table(G)
+        assert len(shapes) <= 2, shapes
+        assert verify_orthogonality(T).ok
+        assert sum(d * d for d in T.degrees) == G.order
