@@ -34,7 +34,7 @@ from .constructions import (
     to_text,
     translation_subgroup,
 )
-from .errors import InputError
+from .errors import EngineInvariantError, InputError
 from .fieldvals import FieldSpec, a_k_subgroup, format_field
 from .group import (
     SubgroupHandle,
@@ -238,7 +238,7 @@ def _select_primes(kind: str, order: int) -> List[int]:
         return [p for p in ps if p == 7]
     if kind == "odd-not-seven":
         return [p for p in ps if p not in (2, 7)]
-    raise AssertionError(kind)
+    raise EngineInvariantError(f"unknown prime selection {kind!r}")
 
 
 def _verdict(below: bool, at_bound: bool, pnil: bool, hyps_ok: bool) -> str:

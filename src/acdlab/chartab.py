@@ -225,6 +225,31 @@ class CharacterTable:
         """Row index of each value row."""
         return {row: r for r, row in enumerate(self.rows)}
 
+    @cached_property
+    def row_conductors(self) -> Tuple[int, ...]:
+        """Per row, the lcm of its values' conductors.
+
+        Values sit at their minimal conductor, so a row has its values in
+        Q(zeta_n) exactly when its entry here divides n.
+        """
+        return tuple(lcm(*(v.conductor for v in row)) for row in self.rows)
+
+    @cached_property
+    def real_rows(self) -> Tuple[bool, ...]:
+        """Per row, whether every value equals its complex conjugate."""
+        real: Dict[CyclotomicValue, bool] = {}
+        for row in self.rows:
+            for v in row:
+                if v not in real:
+                    real[v] = v.is_real()
+        return tuple(all(real[v] for v in row) for row in self.rows)
+
+    @cached_property
+    def galois_images(self) -> Dict[int, Dict[CyclotomicValue, CyclotomicValue]]:
+        """Per unit t mod the exponent, the images under zeta -> zeta^t of
+        the values twisted so far; ``galois_conjugate`` fills it."""
+        return {}
+
 
 def character_table(G: FiniteGroup) -> CharacterTable:
     C = conjugacy_classes(G)
@@ -235,9 +260,13 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     dlog = {pow(mt.omega_root, j, q): j for j in range(e)}
     linear = [r for r in range(k) if mt.degrees[r] == 1]
     nonlinear = [r for r in range(k) if mt.degrees[r] > 1]
+    nonlinear_degrees = np.asarray([mt.degrees[r] for r in nonlinear], dtype=np.int64)
     values: List[List[Optional[CyclotomicValue]]] = [[None] * k for _ in range(k)]
     root_memo: Dict[int, CyclotomicValue] = {}
     transform_memo: Dict[int, np.ndarray] = {}
+    # The multiplicity vector at conductor m determines the value, and a
+    # table has far fewer distinct values than cells: canonicalise each once.
+    value_memo: Dict[Tuple[int, bytes], CyclotomicValue] = {}
 
     for c in range(k):
         g = C.reps[c]
@@ -266,11 +295,16 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             Wm = transform_memo[m] = ptab[(-np.outer(tt, tt)) % m]
         V = mt.chi[np.ix_(nonlinear, power_classes)]
         MV = ((V @ Wm) % q * pow(m, -1, q)) % q
+        if not np.array_equal(MV.sum(axis=1), nonlinear_degrees):
+            raise EngineInvariantError("multiplicities must sum to the degree")
         for a, r in enumerate(nonlinear):
             mults = MV[a]
-            if int(mults.sum()) != mt.degrees[r]:
-                raise EngineInvariantError("multiplicities must sum to the degree")
-            values[r][c] = CyclotomicValue(m, {int(j): int(mults[j]) for j in range(m) if mults[j]})
+            key = (m, mults.tobytes())
+            val = value_memo.get(key)
+            if val is None:
+                val = value_memo[key] = CyclotomicValue(
+                    m, {int(j): int(mults[j]) for j in np.flatnonzero(mults)})
+            values[r][c] = val
 
     rows = [tuple(row) for row in values]
     trivial = [r for r in range(k) if all(v == 1 for v in rows[r])]
@@ -278,7 +312,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         raise EngineInvariantError("exactly one trivial character")
     order_keys = sorted(
         (r for r in range(k) if r != trivial[0]),
-        key=lambda r: (mt.degrees[r], tuple(v.sort_key() for v in rows[r])),
+        key=lambda r: (mt.degrees[r], tuple(map(CyclotomicValue.sort_key, rows[r]))),
     )
     perm = trivial + order_keys
     degrees = tuple(mt.degrees[r] for r in perm)
@@ -456,8 +490,19 @@ def galois_conjugate(T: CharacterTable, char: int, t: int) -> int:
     """Row index of the Galois twist zeta -> zeta^t of a character row."""
     if gcd(t, T.exponent) != 1:
         raise InputError(f"galois exponent {t} is not a unit mod the exponent {T.exponent}")
-    target = tuple(v.galois(t % v.conductor) if v.conductor > 1 else v for v in T.rows[char])
-    r = T.row_lookup.get(target)
+    # Every conductor divides the exponent, so t mod the exponent fixes the
+    # twist of every value.
+    t %= T.exponent
+    images = T.galois_images.setdefault(t, {})
+    target = []
+    for v in T.rows[char]:
+        w = images.get(v)
+        if w is None:
+            if T.exponent % v.conductor:
+                raise EngineInvariantError("value conductors must divide the exponent")
+            w = images[v] = v.galois(t % v.conductor) if v.conductor > 1 else v
+        target.append(w)
+    r = T.row_lookup.get(tuple(target))
     if r is None:
         raise EngineInvariantError("a Galois twist of an irreducible row must be in the table")
     return r

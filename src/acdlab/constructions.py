@@ -243,7 +243,7 @@ def _field_modulus(p: int, a: int) -> Tuple[int, ...]:
         f = _digits(code, p, a) + (1,)
         if _is_irreducible(f, p):
             return f
-    raise AssertionError("irreducible polynomial must exist")
+    raise EngineInvariantError(f"no monic irreducible polynomial of degree {a} over F_{p}")
 
 
 def _field_semidirect_group(p: int, a: int, d: int, cap: Optional[int]) -> FiniteGroup:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
 from typing import List, Optional
 
 from .chartab import CharacterTable, character_kernel
@@ -101,20 +100,22 @@ def format_field(k: FieldSpec) -> str:
 def has_values_in(T: CharacterTable, char: int, k: FieldSpec) -> bool:
     """Whether every value of the character row lies in the field.
 
-    Values sit at their minimal conductor, so Q(zeta_m) membership is
-    conductor divisibility; R membership is invariance under conjugation.
+    Reads per-row data that each table computes once: values sit at their
+    minimal conductor, so Q(zeta_m) membership is divisibility of m by the
+    row's conductor lcm (``T.row_conductors``), and R membership is
+    invariance of every value under conjugation (``T.real_rows``).
     """
-    row = T.rows[char]
     if k.variant == "complexes":
         return True
     if k.variant == "reals":
-        return all(v.conductor == 1 or v == v.conjugate() for v in row)
-    return all(k.m % v.conductor == 0 for v in row)
+        return T.real_rows[char]
+    return k.m % T.row_conductors[char] == 0
 
 
 def value_conductor(T: CharacterTable, char: int) -> int:
-    """Conductor of the field of values of a row (debug helper)."""
-    return lcm(*(v.conductor for v in T.rows[char]))
+    """Conductor of the field of values of a row: the smallest n with all
+    its values in Q(zeta_n), read from ``T.row_conductors``."""
+    return T.row_conductors[char]
 
 
 def irr_subset(T: CharacterTable, k: FieldSpec, p: Optional[int] = None) -> List[int]:

@@ -181,6 +181,11 @@ class TestAuditRows:
         finally:
             gc.enable()
 
+    def test_unknown_prime_selection_is_typed(self):
+        assert audit_mod._select_primes("odd", 6) == [3]
+        with pytest.raises(EngineInvariantError, match="bogus"):
+            audit_mod._select_primes("bogus", 6)
+
 
 class TestRowSerialization:
     def test_json_key_order_and_fractions(self):

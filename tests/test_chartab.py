@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from acdlab.chartab import (
     choose_conductor_prime,
     class_coefficients,
     class_matrix,
+    compute_mod_table,
     galois_conjugate,
     table_to_json,
     table_to_json_dict,
@@ -27,7 +29,7 @@ from acdlab.chartab import (
 )
 from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
-from acdlab.group import element_order, is_normal
+from acdlab.group import conjugacy_classes, element_order, is_normal
 from acdlab.specparse import parse_group_spec
 
 
@@ -362,6 +364,111 @@ class TestJsonOutput:
             text = to_text(spec)
             h.update((text + "\n" + table_to_json(cache.table(text)) + "\n").encode())
         assert h.hexdigest() == "a7ff53db15afb963bd49f9bc6c9b8f781f5a779276a94d96574002f1ca6432f4"
+
+
+class TestDistinctValueWork:
+    """The lift, the field data and the Galois twist work once per distinct
+    value; each is checked here against the same work done per cell."""
+
+    @staticmethod
+    def lifted_per_cell(G):
+        """Rows of G's table with every cell lifted on its own, through the
+        multiplicity transform at its class order, and no memo; also the
+        (order, multiplicities) keys of the nonlinear cells."""
+        C = conjugacy_classes(G)
+        mt = compute_mod_table(G)
+        q, e, k = mt.q, mt.exponent, C.num_classes
+        rows = [[None] * k for _ in range(k)]
+        keys = set()
+        for c in range(k):
+            g = C.reps[c]
+            m = element_order(G, g)
+            chi = mt.chi[:, [C.class_of[x] for x in G.powers(g, m)]]
+            om = pow(mt.omega_root, e // m, q)
+            W = np.array([[pow(om, -j * t % m, q) for j in range(m)] for t in range(m)],
+                         dtype=np.int64)
+            M = (chi @ W % q) * pow(m, -1, q) % q
+            for r in range(k):
+                mults = tuple(int(x) for x in M[r])
+                if mt.degrees[r] > 1:
+                    keys.add((m, tuple((j, x) for j, x in enumerate(mults) if x)))
+                rows[r][c] = CyclotomicValue(m, dict(enumerate(mults)))
+        return sorted(tuple(v.sort_key() for v in row) for row in rows), keys
+
+    @pytest.mark.parametrize("text", ["F(13,3)", "SD(5,3,124)"])
+    def test_lift_canonicalises_each_value_once(self, cache, monkeypatch, text):
+        import acdlab.cyclotomic as cyclotomic
+
+        G = cache.group(text)
+        real = cyclotomic._canonical
+        calls, depth = [], [0]
+
+        def counted(m, raw):
+            # Only outer calls: a subfield descent recurses.
+            if not depth[0]:
+                calls.append((m, tuple(sorted(raw.items()))))
+            depth[0] += 1
+            try:
+                return real(m, raw)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cyclotomic, "_canonical", counted)
+        T = character_table(G)
+        monkeypatch.undo()
+        expected, keys = self.lifted_per_cell(G)
+        assert rows_as_multiset(T) == expected
+        k = T.num_chars
+        assert len(calls) == len(set(calls)), "a value was canonicalised twice"
+        # Linear values are single roots of unity; the rest are the
+        # nonlinear cells' multiplicity vectors.
+        nonlinear = [c for c in calls if sum(x for _, x in c[1]) > 1]
+        assert set(nonlinear) <= keys
+        assert 4 * len(calls) < k * k
+
+    @pytest.mark.parametrize("text", ["F(7,3)", "SD(3,2,8)", "Q8*C(26)", "C(113)"])
+    def test_galois_twist_matches_per_cell_twist(self, cache, text):
+        T = cache.table(text)
+        e = T.exponent
+        units = [t for t in range(1, e + 1) if gcd(t, e) == 1]
+        # A direct twist is v.galois(t mod v's conductor); it is kept per
+        # value and that residue, so C(113) takes seconds, not a minute.
+        direct = {}
+
+        def twist(v, t):
+            key = (v, t % v.conductor)
+            if key not in direct:
+                direct[key] = v.galois(key[1])
+            return direct[key]
+
+        index = {row: r for r, row in enumerate(T.rows)}
+        for t in units:
+            for r, row in enumerate(T.rows):
+                want = index[tuple(twist(v, t) for v in row)]
+                assert galois_conjugate(T, r, t) == want, (r, t)
+                if t in units[:2] + units[-2:]:
+                    assert galois_conjugate(T, r, t + e) == want, (r, t + e)
+                    assert galois_conjugate(T, r, t - e) == want, (r, t - e)
+
+    def test_row_data_match_per_cell_definitions(self, cache):
+        for text in map(to_text, default_catalog()):
+            if cache.group(text).order > 200:
+                continue
+            T = cache.table(text)
+            assert T.row_conductors == tuple(
+                lcm(*(v.conductor for v in row)) for row in T.rows)
+            assert T.real_rows == tuple(
+                all(v.conductor == 1 or v == v.conjugate() for v in row) for row in T.rows)
+
+    def test_row_conductor_is_an_lcm(self, cache):
+        # In the catalog up to order 200 every row's lcm is its largest
+        # conductor, so a row with conductors 3 and 4 is planted.
+        T = cache.table("S(3)")
+        real = (CyclotomicValue.rational(1), zeta(5) + zeta(5, 4), CyclotomicValue.rational(-1))
+        mixed = (CyclotomicValue.rational(2), zeta(3), zeta(4) - zeta(4, 3))
+        T = dataclasses.replace(T, rows=T.rows[:1] + (real, mixed))
+        assert T.row_conductors == (1, 5, 12)
+        assert T.real_rows == (True, True, False)
 
 
 class TestInternals:

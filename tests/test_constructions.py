@@ -18,7 +18,7 @@ from acdlab.constructions import (
     translation_subgroup,
     validate_spec,
 )
-from acdlab.errors import ConstructionError, InputError
+from acdlab.errors import ConstructionError, EngineInvariantError, InputError
 from acdlab.group import (
     center,
     conjugacy_classes,
@@ -164,6 +164,14 @@ class TestValidation:
     def test_entries_reduced_mod_p(self):
         # Entries are read mod p, so this is the identity and not singular.
         validate_spec(MatrixSemidirect(2, (((1, 2), (2, 1)),)))
+
+    def test_missing_field_modulus_is_typed(self, monkeypatch):
+        import acdlab.constructions as constructions
+
+        assert constructions._field_modulus(2, 3) == (1, 1, 0, 1)
+        monkeypatch.setattr(constructions, "_is_irreducible", lambda f, p: False)
+        with pytest.raises(EngineInvariantError, match="irreducible"):
+            constructions._field_modulus(2, 3)
 
 
 class TestTranslationSubgroup:
