@@ -349,11 +349,6 @@ def _abelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     return rows
 
 
-def _is_abelian_on(bundle: _Bundle, H: SubgroupHandle) -> bool:
-    idx = H.indices
-    return all(bundle.G.mul(x, y) == bundle.G.mul(y, x) for x in idx for y in idx if x < y)
-
-
 def _nonabelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     spec = bundle.spec
     G = bundle.G
@@ -373,7 +368,7 @@ def _nonabelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     H = point_stabilizer(G, 0)
     if V.order * H.order != G.order or (V.member_set() & H.member_set()) != {0}:
         return []
-    if _is_abelian_on(bundle, H):
+    if derived_subgroup(subgroup_as_group(G, H)[0]).order == 1:  # H is abelian
         return []
     if any(normal_closure(G, [v]).member_set() != V.member_set() for v in V.indices if v):
         return []

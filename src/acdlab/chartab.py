@@ -64,12 +64,12 @@ def class_matrix(G: FiniteGroup, C: ClassData, i: int) -> np.ndarray:
     """
     k = C.num_classes
     inv = G.inverse_table()
-    npE = G.np_elements()
-    xinv_rows = npE[[inv[x] for x in C.members[i]]]
+    E = G.rows
+    xinv_rows = E[[inv[x] for x in C.members[i]]]
     class_of = np.asarray(C.class_of, dtype=np.int64)
     N = np.zeros((k, k), dtype=np.int64)
     for kk, z in enumerate(C.reps):
-        prod_rows = xinv_rows[:, npE[z]]
+        prod_rows = xinv_rows[:, E[z]]
         classes = class_of[G.index_rows(prod_rows)]
         N[:, kk] = np.bincount(classes, minlength=k)
     return N

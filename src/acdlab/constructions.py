@@ -353,13 +353,9 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
         L = build(spec.left, cap=cap)
         R = build(spec.right, cap=cap)
         dl, dr = L.degree, R.degree
-        gens: List[pm.Perm] = []
-        for gi in L.generator_indices:
-            g = L.elements[gi]
-            gens.append(tuple(list(g) + [dl + i for i in range(dr)]))
-        for gi in R.generator_indices:
-            g = R.elements[gi]
-            gens.append(tuple(list(range(dl)) + [dl + x for x in g]))
+        gens = [g + list(range(dl, dl + dr)) for g in L.rows[list(L.generator_indices)].tolist()]
+        gens += [list(range(dl)) + [dl + x for x in g]
+                 for g in R.rows[list(R.generator_indices)].tolist()]
         return generate_group(gens, degree=dl + dr, cap=cap)
     raise InputError(f"unknown spec {spec!r}")
 

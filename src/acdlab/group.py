@@ -1,15 +1,16 @@
 """Fully enumerated permutation groups and the subgroup machinery built on them.
 
-A group is a canonically ordered list of permutations: breadth-first closure
-from the sorted generator list, identity at index 0.  Every element is known
-by its index, all operations below are pure functions of the group object,
-and results are cached on the instance, so a group can be shared freely
-between computations (and across forked worker processes).
+A group is a canonically ordered array of permutation image rows:
+breadth-first closure from the sorted generator list, identity at index 0.
+Every element is known by its index, all operations below are pure functions
+of the group object, and results are cached on the instance, so a group can
+be shared freely between computations (and across forked worker processes).
 
-``generate_group`` creates the index with its own block-wise closure.  Every
-later closure over element indices (conjugacy classes, generated subgroups,
-conjugation inside a subgroup, the p-complement test) is one call of
-:func:`_orbit`, with a step that maps a whole frontier at once.
+``generate_group`` creates the rows and their ``bytes -> index`` dict with
+its own block-wise closure.  Every later closure over element indices
+(conjugacy classes, generated subgroups, conjugation inside a subgroup, the
+p-complement test) is one call of :func:`_orbit`, with a step that maps a
+whole frontier at once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .perm import Perm
 
 DEFAULT_ORDER_CAP = 20000
 ORDER_CAP_ENV = "ACDLAB_ORDER_CAP"
-MAX_DEGREE = 65535  # elements are packed as uint16 image rows
+MAX_DEGREE = 65535  # image rows are uint8 up to 256 points, uint16 up to this
 
 
 def resolve_order_cap(cap: Optional[int] = None) -> int:
@@ -47,18 +48,19 @@ def resolve_order_cap(cap: Optional[int] = None) -> int:
 class FiniteGroup:
     """A finite permutation group with a fixed canonical element order.
 
-    Construct via :func:`generate_group`.  ``elements[0]`` is the identity;
-    ``elements`` is closed under composition and inversion.
+    Construct via :func:`generate_group`.  Element i is ``rows[i]``, its image
+    row; row 0 is the identity, and the rows are closed under composition and
+    inversion.  ``_index`` maps a row's bytes back to its index.
     """
 
-    def __init__(self, elements: Tuple[Perm, ...], generator_indices: Tuple[int, ...],
-                 bfs_parents: Tuple[Tuple[int, int], ...]):
-        self.elements = elements
-        self.degree = len(elements[0])
+    def __init__(self, rows: np.ndarray, index: Dict[bytes, int],
+                 generator_indices: Tuple[int, ...], bfs_parents: Tuple[Tuple[int, int], ...]):
+        self.rows = rows
+        self.degree = rows.shape[1]
         self.generator_indices = generator_indices
         self.identity = 0
         self._bfs_parents = bfs_parents
-        self._index: Dict[bytes, int] = {self._pack(p): i for i, p in enumerate(elements)}
+        self._index = index
         self._inverse: Optional[Tuple[int, ...]] = None
         self._orders: Optional[Tuple[int, ...]] = None
         self._exponent: Optional[int] = None
@@ -68,50 +70,54 @@ class FiniteGroup:
         # until the cyclic garbage collector runs.
         self._derived: Optional[Tuple[int, ...]] = None
         self._solvable: Optional[bool] = None
-        self._np: Optional[np.ndarray] = None
         self._pnil: Dict[int, Optional[Tuple[int, ...]]] = {}  # p -> complement or None
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.rows.shape[0]
+
+    @property
+    def elements(self) -> Tuple[Perm, ...]:
+        """Every element as an image tuple, built afresh on each access."""
+        return tuple(map(tuple, self.rows.tolist()))
 
     @property
     def generators(self) -> Tuple[Perm, ...]:
-        return tuple(self.elements[i] for i in self.generator_indices)
-
-    def _pack(self, p: Sequence[int]) -> bytes:
-        if self.degree <= 255:
-            return bytes(p)
-        return np.asarray(p, dtype=np.uint16).tobytes()
+        return tuple(tuple(self.rows[i].tolist()) for i in self.generator_indices)
 
     def index_of(self, p: Sequence[int]) -> int:
-        try:
-            return self._index[self._pack(p)]
-        except KeyError:
-            raise InputError(f"permutation {tuple(p)} is not an element of this group")
+        row = np.asarray(p)
+        if not (row.shape == (self.degree,) and row.dtype.kind in "iu"
+                and row.min() >= 0 and row.max() < self.degree):
+            raise InputError(f"{tuple(p)} is not a permutation of 0..{self.degree - 1}")
+        return int(self.index_rows(row[None])[0])
 
     def __contains__(self, p: Sequence[int]) -> bool:
-        return self._pack(p) in self._index
+        try:
+            self.index_of(p)
+        except InputError:
+            return False
+        return True
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self._pack(pm.compose(self.elements[i], self.elements[j]))]
+        return self._index[self.rows[i][self.rows[j]].tobytes()]
 
     def inv(self, i: int) -> int:
         return self.inverse_table()[i]
 
     def conjugate(self, g: int, x: int) -> int:
         """Index of g x g^-1."""
-        pg = self.elements[g]
-        return self._index[self._pack(pm.compose(pg, pm.compose(self.elements[x], pm.inverse(pg))))]
+        pg = self.rows[g]
+        return self._index[pg[self.rows[x][np.argsort(pg)]].tobytes()]
 
     def power(self, i: int, k: int) -> int:
-        return self._index[self._pack(pm.power(self.elements[i], k))]
+        return self.index_of(pm.power(tuple(self.rows[i].tolist()), k))
 
     def powers(self, i: int, m: int) -> List[int]:
         """Indices of g^0, g^1, ..., g^(m-1) for g = element i."""
-        g = self.np_elements()[i].astype(np.int64)
+        g = self.rows[i].astype(np.int64)
         rows = np.empty((m, self.degree), dtype=np.int64)
         cur = np.arange(self.degree, dtype=np.int64)
         for t in range(m):
@@ -121,8 +127,9 @@ class FiniteGroup:
 
     def inverse_table(self) -> Tuple[int, ...]:
         if self._inverse is None:
-            # The argsort of a permutation's image row is its inverse.
-            inv_rows = np.argsort(self.np_elements(), axis=1, kind="stable")
+            # The argsort of a permutation's image row is its inverse.  The
+            # stable sort of 8- and 16-bit rows is a radix sort, linear in degree.
+            inv_rows = np.argsort(self.rows, axis=1, kind="stable")
             self._inverse = tuple(self.index_rows(inv_rows).tolist())
         return self._inverse
 
@@ -130,7 +137,7 @@ class FiniteGroup:
         if self._orders is None:
             # Conjugate elements share their order: one cycle type per class.
             C = conjugacy_classes(self)
-            rep_orders = [pm.order_of(self.elements[r]) for r in C.reps]
+            rep_orders = [pm.order_of(tuple(row)) for row in self.rows[list(C.reps)].tolist()]
             self._orders = tuple(rep_orders[c] for c in C.class_of)
         return self._orders
 
@@ -144,27 +151,22 @@ class FiniteGroup:
         word.reverse()
         return tuple(word)
 
-    # -- numpy views (hot paths in the character engine) --------------------
-
-    def np_elements(self) -> np.ndarray:
-        if self._np is None:
-            dtype = np.uint8 if self.degree <= 255 else np.uint16
-            self._np = np.array(self.elements, dtype=dtype)
-        return self._np
-
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
         """Map an (n, degree) array of image rows to element indices."""
-        dtype = np.uint8 if self.degree <= 255 else np.uint16
-        packed = np.ascontiguousarray(rows, dtype=dtype)
-        idx = self._index
-        width = packed.shape[1] * packed.itemsize
-        raw = packed.tobytes()
-        return np.fromiter(
-            (idx[raw[off:off + width]] for off in range(0, len(raw), width)),
-            dtype=np.int64, count=packed.shape[0])
+        keys = _row_keys(np.ascontiguousarray(rows, dtype=self.rows.dtype))
+        try:
+            return np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64, count=len(keys))
+        except KeyError as missing:
+            row = np.frombuffer(missing.args[0], dtype=self.rows.dtype)
+            raise InputError(f"permutation {tuple(row.tolist())} is not an element of this group") from None
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
+
+
+def _row_keys(rows: np.ndarray) -> List[bytes]:
+    """The bytes of each row of a C-contiguous array: the keys of a group's index."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
 def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = None,
@@ -193,40 +195,34 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
     ident = pm.identity(deg)
     gen_perms = [g for g in gen_perms if g != ident]
 
-    elements: List[Perm] = [ident]
+    block = np.arange(deg, dtype=np.min_scalar_type(deg - 1))[None]
+    index = {block.tobytes(): 0}
+    blocks = [block]
     parents: List[Tuple[int, int]] = [(-1, -1)]
-    dtype = np.uint8 if deg <= 255 else np.uint16
-    gen_idx = [np.asarray(g, dtype=np.int64) for g in gen_perms]
-    seen: Set[bytes] = {np.asarray(ident, dtype=dtype).tobytes()}
-    block = np.asarray([ident], dtype=dtype)
+    gen_rows = np.array(gen_perms, dtype=np.intp).reshape(-1, deg)
+    ngens = len(gen_rows)
     pos = 0
     # Each round multiplies the whole unprocessed tail by every generator and
     # scans the products in (element, generator) order, which is exactly the
     # order a one-element-at-a-time BFS would discover them in.
-    width = deg * np.dtype(dtype).itemsize
-    while pos < len(elements) and gen_idx:
-        prods = np.stack([block[:, g] for g in gen_idx], axis=1)
-        raw = np.ascontiguousarray(prods).tobytes()
+    while len(block) and ngens:
+        prods = np.take(block, gen_rows, axis=1).reshape(-1, deg)
         new_rows: List[int] = []
-        off = 0
-        for b in range(block.shape[0]):
-            for gi in range(len(gen_idx)):
-                key = raw[off:off + width]
-                off += width
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append(b * len(gen_idx) + gi)
-                    parents.append((pos + b, gi))
-                    if len(elements) + len(new_rows) > cap:
-                        raise SizeLimitError(
-                            f"group order exceeds cap {cap}; raise {ORDER_CAP_ENV} to allow larger groups")
-        pos = len(elements)
-        block = prods.reshape(-1, deg)[new_rows]
-        elements.extend(tuple(row) for row in block.tolist())
+        for r, key in enumerate(_row_keys(prods)):
+            if key not in index:
+                index[key] = len(index)
+                new_rows.append(r)
+                parents.append((pos + r // ngens, r % ngens))
+                if len(index) > cap:
+                    raise SizeLimitError(
+                        f"group order exceeds cap {cap}; raise {ORDER_CAP_ENV} to allow larger groups")
+        pos += len(block)
+        block = prods[new_rows]
+        blocks.append(block)
 
-    group = FiniteGroup(tuple(elements), (), tuple(parents))
-    group.generator_indices = tuple(group.index_of(g) for g in gen_perms)
-    return group
+    rows = np.concatenate(blocks)
+    gen_indices = tuple(index[np.asarray(g, dtype=rows.dtype).tobytes()] for g in gen_perms)
+    return FiniteGroup(rows, index, gen_indices, tuple(parents))
 
 
 # -- orbits ------------------------------------------------------------------
@@ -257,14 +253,14 @@ def _orbit(seeds: Iterable[int], step: Callable[[List[int]], Iterable[int]],
 def _product_step(G: FiniteGroup, factors: Sequence[Tuple[int, int]]
                   ) -> Callable[[List[int]], List[int]]:
     """Orbit step mapping each frontier element x to l x r for every (l, r) in factors."""
-    npE = G.np_elements()
-    left = npE[[l for l, _ in factors]]
-    right = npE[[r for _, r in factors]]
+    E = G.rows
+    left = E[[l for l, _ in factors]]
+    right = E[[r for _, r in factors]]
     which = np.arange(len(factors))[:, None]
 
     def step(frontier: List[int]) -> List[int]:
         # rows[a, b, i] = x_a[r_b[i]]; then l_b is applied to each row.
-        rows = npE[frontier][:, right]
+        rows = E[frontier][:, right]
         return G.index_rows(left[which, rows].reshape(-1, G.degree)).tolist()
 
     return step
@@ -293,13 +289,13 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
     if G._classes is not None:
         return G._classes
     n = G.order
-    npE = G.np_elements()
+    E = G.rows
     # conj[x] = index of g x g^-1, for each generator g at once over all x.
     conj_maps = []
     for i in G.generator_indices:
-        g = npE[i]
-        ginv = npE[G.inv(i)]
-        conj_maps.append(G.index_rows(g[npE[:, ginv]]).tolist())
+        g = E[i]
+        ginv = E[G.inv(i)]
+        conj_maps.append(G.index_rows(g[E[:, ginv]]).tolist())
 
     def step(frontier: List[int]) -> List[int]:
         return [m[x] for x in frontier for m in conj_maps]
@@ -345,7 +341,8 @@ def exponent(G: FiniteGroup) -> int:
 
 def power_map(G: FiniteGroup, C: ClassData, k: int) -> Tuple[int, ...]:
     """Map class(g) to class(g^k); well defined since classes power coherently."""
-    return tuple(C.class_of[G.power(r, k)] for r in C.reps)
+    powers = [pm.power(tuple(row), k) for row in G.rows[list(C.reps)].tolist()]
+    return tuple(C.class_of[i] for i in G.index_rows(np.array(powers)).tolist())
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -413,13 +410,13 @@ def _closure(G: FiniteGroup, candidates: Iterable[int], limit: Optional[int] = N
 
 def _commutators(G: FiniteGroup, gens: Sequence[int]) -> Set[int]:
     """Indices of the nontrivial commutators a^-1 b^-1 a b over pairs of gens."""
-    npE = G.np_elements()
+    E = G.rows
     inv = G.inverse_table()
     a = np.repeat(np.asarray(gens, dtype=np.intp), len(gens))
     b = np.tile(np.asarray(gens, dtype=np.intp), len(gens))
-    rows = npE[b]
+    rows = E[b]
     for f in (a, [inv[i] for i in b], [inv[i] for i in a]):
-        rows = np.take_along_axis(npE[f], rows, axis=1)
+        rows = np.take_along_axis(E[f], rows, axis=1)
     return set(G.index_rows(rows).tolist()) - {0}
 
 
@@ -517,14 +514,14 @@ def center(G: FiniteGroup) -> SubgroupHandle:
 def point_stabilizer(G: FiniteGroup, point: int) -> SubgroupHandle:
     if not 0 <= point < G.degree:
         raise InputError(f"point {point} out of range for degree {G.degree}")
-    return SubgroupHandle(G, [i for i, p in enumerate(G.elements) if p[point] == point])
+    return SubgroupHandle(G, np.flatnonzero(G.rows[:, point] == point).tolist())
 
 
 def subgroup_as_group(G: FiniteGroup, H: SubgroupHandle) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Rebuild a subgroup as a standalone group; also return the index map back into G."""
     gens = _closure(G, H.indices)[0]  # type: ignore[index]
-    sub = generate_group([G.elements[i] for i in gens], degree=G.degree, cap=G.order)
-    return sub, tuple(G.index_rows(sub.np_elements()).tolist())
+    sub = generate_group(G.rows[gens].tolist(), degree=G.degree, cap=G.order)
+    return sub, tuple(G.index_rows(sub.rows).tolist())
 
 
 def is_p_nilpotent(G: FiniteGroup, p: int, want_certificate: bool = True

@@ -22,7 +22,10 @@ from acdlab.audit import (
     STATEMENT_NAMES,
     _rows_for_spec,
 )
+from acdlab.chartab import character_table, table_to_json
+from acdlab.constructions import build
 from acdlab.errors import EngineInvariantError, InputError
+from acdlab.group import FiniteGroup
 from acdlab.specparse import parse_group_spec
 
 
@@ -180,6 +183,21 @@ class TestAuditRows:
             assert built[0]() is None, "the audited group must be freed by reference counting"
         finally:
             gc.enable()
+
+    def test_engine_reads_only_image_rows(self, monkeypatch):
+        # The audit and the table writer must not need the tuple view of the
+        # elements or the one-element-at-a-time API.  These groups cover
+        # point stabilizers, subgroups rebuilt as groups, translation
+        # subgroups, direct products and the JSON class words.
+        def forbidden(*args):
+            raise AssertionError("scalar element access in the engine")
+
+        monkeypatch.setattr(FiniteGroup, "elements", property(forbidden))
+        for name in ("mul", "conjugate", "power"):
+            monkeypatch.setattr(FiniteGroup, name, forbidden)
+        for text in ("S(4)", "F(13,3)", "MAT(2;[[0,1],[1,1]])", "C(2)*S(3)"):
+            assert _rows_for_spec(text, STATEMENT_NAMES)
+            table_to_json(character_table(build(parse_group_spec(text))))
 
     def test_unknown_prime_selection_is_typed(self):
         assert audit_mod._select_primes("odd", 6) == [3]

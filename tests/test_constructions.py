@@ -188,6 +188,11 @@ class TestTranslationSubgroup:
         with pytest.raises(InputError):
             translation_subgroup(G, 3, 1)
 
+    def test_group_without_translations_rejected(self):
+        # C(9) acts on 3^2 points, but the translations of (C_3)^2 are not in it.
+        with pytest.raises(InputError, match="not an element"):
+            translation_subgroup(build(Cyclic(9)), 3, 2)
+
 
 class TestCatalog:
     def test_unique_and_valid(self):

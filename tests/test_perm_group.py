@@ -129,6 +129,22 @@ class TestGenerateGroup:
         with pytest.raises(InputError, match="65535"):
             generate_group([transposition])
 
+    def test_entries_out_of_range_are_not_members(self):
+        G = build(Cyclic(9))
+        for p in (tuple(range(8)) + (300,), (-1,) * 9, tuple(range(8)) + (9,), (0,) * 10):
+            with pytest.raises(InputError):
+                G.index_of(p)
+            assert p not in G
+        assert tuple(range(9)) in G
+
+    def test_non_member_rows_are_typed(self):
+        G = build(Cyclic(9))
+        swap = [[1, 0] + list(range(2, 9))]
+        with pytest.raises(InputError, match="not an element"):
+            G.index_rows(swap)
+        with pytest.raises(InputError, match="not an element"):
+            G.index_of(swap[0])
+
     def test_mismatched_degrees_rejected(self):
         with pytest.raises(InputError):
             generate_group([[1, 0], [1, 2, 0]])
@@ -260,7 +276,7 @@ LOOP_REFERENCE_GROUPS = [
     build(FieldSemidirect(7, 1, 3)),
     build(DirectProduct(Cyclic(3), Dihedral(5))),
     build(Quaternion8()),
-    # Degree above 255 takes the 16-bit packing.
+    # Degree above 256 takes 16-bit image rows.
     generate_group([list(range(1, 300)) + [0]]),
 ]
 LOOP_REFERENCE_IDS = ["S4", "F21", "C3xD10", "Q8", "C300"]
@@ -288,7 +304,8 @@ class TestAgainstLoopReference:
 
     @staticmethod
     def _perms(G, H):
-        return {G.elements[i] for i in H.indices}
+        elements = G.elements
+        return {elements[i] for i in H.indices}
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_generated_and_normal_closure(self, G):
