@@ -1,11 +1,15 @@
 """Exact complex character tables via modular class-algebra eigenvectors.
 
-The pipeline: split the class algebra over a prime field F_q (q = 1 mod the
-group exponent, q^2 > 4|G|) into one-dimensional eigenspaces of the class
-matrices, recover degrees from the second orthogonality relation, then lift
-each value to an exact cyclotomic number through the root-of-unity
-multiplicity transform at the conductor of the class representative.  All
-arithmetic is integer-exact; no floating point anywhere.
+The pipeline works over a prime field F_q (q = 1 mod the group exponent,
+q^2 > 4|G|).  The linear characters are read off G/G' as exact exponent
+rows (``linear_characters``).  The other central characters span the null
+space of the conjugated linear characters (first orthogonality), and only
+that complement is split into one-dimensional common eigenspaces of the
+class matrices, so an abelian group builds no class matrix.  Degrees come
+from the second orthogonality relation; each nonlinear value is lifted to
+an exact cyclotomic number through the root-of-unity multiplicity transform
+at the conductor of the class representative.  All arithmetic is
+integer-exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +30,7 @@ from .group import (
     FiniteGroup,
     SubgroupHandle,
     conjugacy_classes,
+    derived_subgroup,
     exponent,
 )
 from .linalg_mod import (
@@ -82,9 +88,60 @@ def class_coefficients(G: FiniteGroup, C: Optional[ClassData] = None) -> np.ndar
     return np.stack([class_matrix(G, C, i) for i in range(C.num_classes)])
 
 
+def linear_characters(G: FiniteGroup, C: ClassData, e: int) -> np.ndarray:
+    """Exponent rows J of the linear characters: lambda(g_c) = zeta_e^J[lambda, c].
+
+    The linear characters are those of the abelian group G/G'.  Its cosets
+    are labelled along the cyclic series <a_1> <= <a_1, a_2> <= ... of the
+    generators' images.  If a^n is the first power of the next generator a
+    in the part labelled so far, the cosets r a^s (r labelled, 0 < s < n)
+    are new and get the labels s |part| + r.  Each character lambda of the
+    part extends to n characters, with lambda(a) = (lambda(a^n) + t e) / n
+    for t < n.  Checked: each lambda is a homomorphism on every coset x
+    generator pair, and there are exactly |G:G'| distinct lambda.
+    """
+    E = G.rows
+    D = np.asarray(derived_subgroup(G).indices, dtype=np.int64)
+    index = G.order // len(D)
+    coset_of = np.full(G.order, -1, dtype=np.int64)
+    coset_of[D] = 0
+    reps = np.zeros(1, dtype=np.int64)  # coset c is reps[c] G'
+    J = np.zeros((1, 1), dtype=np.int64)  # J[lambda, c]: exponent of lambda on coset c
+    orders = G.orders()
+    for a in G.generator_indices:
+        pw = np.asarray(G.powers(a, orders[a] + 1))
+        n = 1 + int(np.argmax(coset_of[pw[1:]] >= 0))
+        if n == 1:
+            continue
+        S = len(reps)
+        new = G.index_rows(E[reps][:, E[pw[1:n]]].transpose(1, 0, 2).reshape(-1, G.degree))
+        members = G.index_rows(E[new][:, E[D]].reshape(-1, G.degree))
+        if (coset_of[members] >= 0).any():
+            raise EngineInvariantError("new cosets of the derived subgroup must be disjoint from the old")
+        coset_of[members] = np.repeat(np.arange(S, S * n), len(D))
+        reps = np.concatenate([reps, new])
+        base = J[:, coset_of[pw[n]]]
+        if (base % n).any():
+            raise EngineInvariantError("a linear character must have an n-th root at a^n")
+        roots = (base[:, None] + e * np.arange(n)) // n  # lambda(a), per lambda and t
+        steps = np.arange(n)[:, None] * roots[:, :, None, None]  # s * lambda(a)
+        J = ((J[:, None, None, :] + steps) % e).reshape(len(J) * n, S * n)
+    if len(reps) != index or (coset_of < 0).any():
+        raise EngineInvariantError("the generators' images must reach every coset of the derived subgroup")
+    for a in G.generator_indices:
+        image = coset_of[G.index_rows(E[reps][:, E[a]])]
+        if ((J[:, image] - J - J[:, [coset_of[a]]]) % e).any():
+            raise EngineInvariantError("a linear character must be a homomorphism on G/G'")
+    Jc = J[:, coset_of[list(C.reps)]]
+    if len(set(map(bytes, Jc))) != index:
+        raise EngineInvariantError(f"there must be exactly |G:G'| = {index} distinct linear characters")
+    return Jc
+
+
 @dataclass(frozen=True)
 class ModTable:
-    """Character data over F_q, rows in eigenspace-refinement order."""
+    """Character data over F_q: the linear characters first, in the order of
+    ``linear``, then the split's rows in eigenspace-refinement order."""
 
     q: int
     exponent: int
@@ -92,23 +149,26 @@ class ModTable:
     degrees: Tuple[int, ...]
     omega: np.ndarray  # central character values omega(K_c) mod q
     chi: np.ndarray  # character values mod q
+    linear: np.ndarray  # exponent rows: chi[r] = omega_root^linear[r] for r < len(linear)
 
 
-def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int) -> List[np.ndarray]:
-    """Common eigenvectors (as normalized rows) of all class matrices mod q.
+def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) -> List[np.ndarray]:
+    """Common eigenvectors (as normalized rows) of all class matrices mod q
+    inside the row space of ``start``, an RREF basis spanned by some of them.
 
     Dixon's method (Numer. Math. 10, 1967) as refined by Schneider (J. Symb.
     Comput. 9, 1990): the class matrices commute, so restricting one after
-    another to the eigenspaces found so far splits F_q^k into the k
-    one-dimensional common eigenspaces, the central characters.  Each
-    restriction B is split by ``left_eigenspaces_mod`` in one block Krylov
-    pass; ``nullspace_mod`` runs only for a root whose block fell short.
-    Every split is checked: the subspace is invariant, the eigenspaces stay
-    independent and fill it (B is diagonalizable), and each final row is 1
-    on the identity class.
+    another to the eigenspaces found so far splits the start space into
+    one-dimensional common eigenspaces, its central characters.  The table
+    starts from the complement of the linear characters; a start space of
+    one row needs no class matrix.  Each restriction B is split by
+    ``left_eigenspaces_mod`` in one block Krylov pass; ``nullspace_mod``
+    runs only for a root whose block fell short.  Every split is checked:
+    the subspace is invariant, the eigenspaces stay independent and fill it
+    (B is diagonalizable), and each final row is 1 on the identity class.
     """
     k = C.num_classes
-    spaces: List[Tuple[np.ndarray, List[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    spaces: List[Tuple[np.ndarray, List[int]]] = [(start, (start != 0).argmax(axis=1).tolist())]
     i = 1
     while any(W.shape[0] > 1 for W, _ in spaces):
         if i >= k:
@@ -159,15 +219,31 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     q = choose_conductor_prime(e, G.order)
     k = C.num_classes
 
-    omega_rows = np.stack(_split_eigenspaces(G, C, q))
-    if omega_rows.shape != (k, k):
-        raise EngineInvariantError(f"split gave {omega_rows.shape[0]} central characters, not {k}")
-
     omega_root = pow(primitive_root(q), (q - 1) // e, q)
     if multiplicative_order(omega_root, q) != e:
         raise EngineInvariantError(f"omega root must have order {e} mod {q}")
+    root_powers = np.ones(e, dtype=np.int64)  # omega_root^j mod q, by doubling
+    n = 1
+    while n < e:
+        root_powers[n:2 * n] = root_powers[:min(n, e - n)] * pow(omega_root, n, q) % q
+        n *= 2
 
     sizes = np.asarray(C.sizes, dtype=np.int64)
+    J = linear_characters(G, C, e)
+    n_lin = len(J)
+    omega_rows = root_powers[J] * sizes % q
+    if n_lin < k:
+        # First orthogonality: sum_c omega_chi(K_c) conj(lambda(g_c)) = 0 for
+        # every nonlinear chi and linear lambda, so the nonlinear central
+        # characters span the null space of the conjugated linear rows.
+        start = rref_mod(nullspace_mod(root_powers[-J % e], q), q)[0]
+        if start.shape[0] != k - n_lin:
+            raise EngineInvariantError(
+                f"the nonlinear complement has dimension {start.shape[0]}, not {k - n_lin}")
+        omega_rows = np.vstack([omega_rows, np.stack(_split_eigenspaces(G, C, q, start))])
+    if omega_rows.shape != (k, k):
+        raise EngineInvariantError(f"split gave {omega_rows.shape[0]} central characters, not {k}")
+
     inv_sizes = np.array([pow(int(s), -1, q) for s in C.sizes], dtype=np.int64)
     obar = omega_rows[:, list(C.inverse_class)]
     summand = (omega_rows * obar) % q
@@ -188,15 +264,16 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
         degrees.append(d)
     if sum(d * d for d in degrees) != G.order:
         raise EngineInvariantError("degree squares must sum to the order")
+    if degrees.count(1) != n_lin or any(d != 1 for d in degrees[:n_lin]):
+        raise EngineInvariantError("the degree-1 rows must be exactly the linear characters")
 
     deg = np.asarray(degrees, dtype=np.int64)
     chi = (omega_rows * inv_sizes[None, :]) % q
     chi = (chi * deg[:, None]) % q
     if not np.array_equal(chi[:, 0], deg):
         raise EngineInvariantError("characters must take their degree on the identity class")
-    return ModTable(
-        q=q, exponent=e, omega_root=omega_root, degrees=tuple(degrees), omega=omega_rows, chi=chi
-    )
+    return ModTable(q=q, exponent=e, omega_root=omega_root, degrees=tuple(degrees),
+                    omega=omega_rows, chi=chi, linear=J)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +322,17 @@ class CharacterTable:
         return tuple(all(real[v] for v in row) for row in self.rows)
 
     @cached_property
+    def kernel_classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per row, the classes where the character takes its degree.
+
+        Each distinct value gets an id once, so a cell is compared with the
+        degree (the row's value on the identity class) by its id.
+        """
+        ids = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(self.rows)))}
+        V = np.array([list(map(ids.__getitem__, row)) for row in self.rows])
+        return tuple(tuple(np.flatnonzero(row == row[0]).tolist()) for row in V)
+
+    @cached_property
     def galois_images(self) -> Dict[int, Dict[CyclotomicValue, CyclotomicValue]]:
         """Per unit t mod the exponent, the images under zeta -> zeta^t of
         the values twisted so far; ``galois_conjugate`` fills it."""
@@ -257,31 +345,23 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     q, e, k = mt.q, mt.exponent, C.num_classes
     orders = G.orders()
 
-    dlog = {pow(mt.omega_root, j, q): j for j in range(e)}
-    linear = [r for r in range(k) if mt.degrees[r] == 1]
-    nonlinear = [r for r in range(k) if mt.degrees[r] > 1]
-    nonlinear_degrees = np.asarray([mt.degrees[r] for r in nonlinear], dtype=np.int64)
-    values: List[List[Optional[CyclotomicValue]]] = [[None] * k for _ in range(k)]
-    root_memo: Dict[int, CyclotomicValue] = {}
+    n_lin = len(mt.linear)
+    nonlinear = range(n_lin, k)
+    nonlinear_degrees = np.asarray(mt.degrees[n_lin:], dtype=np.int64)
+    # Linear cells are roots of unity zeta_e^j: one value per exponent j.
+    roots = np.empty(e, dtype=object)
+    for j in set(mt.linear.ravel().tolist()):
+        roots[j] = CyclotomicValue(e, {j: 1})
+    values: List[List[Optional[CyclotomicValue]]] = roots[mt.linear].tolist()
+    values += [[None] * k for _ in nonlinear]
     transform_memo: Dict[int, np.ndarray] = {}
     # The multiplicity vector at conductor m determines the value, and a
     # table has far fewer distinct values than cells: canonicalise each once.
     value_memo: Dict[Tuple[int, bytes], CyclotomicValue] = {}
 
-    for c in range(k):
+    for c in range(k if nonlinear else 0):  # an abelian table has nothing to lift
         g = C.reps[c]
         m = int(orders[g])
-        for r in linear:
-            j = dlog.get(int(mt.chi[r, c]))
-            if j is None:
-                raise EngineInvariantError(
-                    "linear character values must be exponent-th roots of unity")
-            val = root_memo.get(j)
-            if val is None:
-                val = root_memo[j] = CyclotomicValue(e, {j: 1})
-            values[r][c] = val
-        if not nonlinear:
-            continue
         # Multiplicity transform: chi(g) = sum_j m_j zeta_m^j with
         # m_j = (1/m) sum_t chi_q(g^t) omega_m^(-jt); the m_j are the true
         # eigenvalue multiplicities, integers in [0, degree], so the lift
@@ -293,12 +373,11 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             ptab = np.array([pow(om_m, t, q) for t in range(m)], dtype=np.int64)
             tt = np.arange(m)
             Wm = transform_memo[m] = ptab[(-np.outer(tt, tt)) % m]
-        V = mt.chi[np.ix_(nonlinear, power_classes)]
+        V = mt.chi[n_lin:, power_classes]
         MV = ((V @ Wm) % q * pow(m, -1, q)) % q
         if not np.array_equal(MV.sum(axis=1), nonlinear_degrees):
             raise EngineInvariantError("multiplicities must sum to the degree")
-        for a, r in enumerate(nonlinear):
-            mults = MV[a]
+        for r, mults in zip(nonlinear, MV):
             key = (m, mults.tobytes())
             val = value_memo.get(key)
             if val is None:
@@ -307,7 +386,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             values[r][c] = val
 
     rows = [tuple(row) for row in values]
-    trivial = [r for r in range(k) if all(v == 1 for v in rows[r])]
+    trivial = np.flatnonzero(~mt.linear.any(axis=1)).tolist()
     if len(trivial) != 1:
         raise EngineInvariantError("exactly one trivial character")
     order_keys = sorted(
@@ -478,12 +557,8 @@ def verify_orthogonality(T: CharacterTable) -> OrthogonalityReport:
 
 def character_kernel(T: CharacterTable, char: int) -> SubgroupHandle:
     """Elements where the character takes its degree value."""
-    deg = T.degrees[char]
-    idx: List[int] = []
-    for c in range(T.classes.num_classes):
-        if T.rows[char][c] == deg:
-            idx.extend(T.classes.members[c])
-    return SubgroupHandle(T.group, sorted(idx))
+    members = T.classes.members
+    return SubgroupHandle(T.group, [x for c in T.kernel_classes[char] for x in members[c]])
 
 
 def galois_conjugate(T: CharacterTable, char: int, t: int) -> int:

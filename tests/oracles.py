@@ -6,6 +6,7 @@ as the ground truth for the fast implementations under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import FrozenSet, List
 
@@ -91,6 +92,58 @@ def p_nilpotent_brute(G: FiniteGroup, p: int) -> bool:
 def subgroup_is_normal_brute(G: FiniteGroup, H: SubgroupHandle) -> bool:
     members = H.member_set()
     return all(G.conjugate(g, h) in members for h in members for g in range(G.order))
+
+
+def linear_characters_brute(G: FiniteGroup) -> np.ndarray:
+    """Every linear character, as exponent rows on the elements.
+
+    Row lambda, column x holds j with lambda(x) = zeta_e^j, e the lcm of
+    the element orders.  Every assignment of exponents mod e to the
+    generators is tried at once: values are spread along a breadth-first
+    tree of the Cayley graph, and an assignment is kept when it is
+    consistent along every Cayley edge x -> x a.  Their number must be the
+    index of the commutator subgroup, generated from all commutators on
+    the same Cayley table.
+    """
+    mul = np.asarray(_cayley_table(G), dtype=np.int64)
+    n = len(mul)
+    inv = np.argmin(mul, axis=1)  # the identity, index 0, is each row's minimum
+    e = 1
+    for x in range(n):
+        y, m = x, 1
+        while y != 0:
+            y, m = mul[y, x], m + 1
+        e = math.lcm(e, m)
+    gens = list(G.generator_indices)
+    tries = np.array(list(itertools.product(range(e), repeat=len(gens))), dtype=np.int64)
+    lam = np.zeros((len(tries), n), dtype=np.int64)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, a in enumerate(gens):
+                y = int(mul[x, a])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    lam[:, y] = (lam[:, x] + tries[:, i]) % e
+        frontier = nxt
+    consistent = np.ones(len(tries), dtype=bool)
+    for i, a in enumerate(gens):
+        consistent &= ((lam[:, mul[:, a]] - lam - tries[:, [i]]) % e == 0).all(axis=1)
+    chars = lam[consistent]
+
+    comm = mul[mul[inv[:, None], inv[None, :]], mul]
+    derived = np.unique(comm)
+    while True:
+        grown = np.unique(mul[np.ix_(derived, derived)])
+        if len(grown) == len(derived):
+            break
+        derived = grown
+    assert len(seen) == n
+    assert len(chars) == n // len(derived), (len(chars), n, len(derived))
+    return chars
 
 
 def galois_cross_check(G: FiniteGroup, T: CharacterTable, all_units: bool = False) -> None:

@@ -292,6 +292,19 @@ class TestDegreesDivideComplementOrder:
 
 
 class TestKernels:
+    def test_kernel_classes_match_per_cell_definition(self, cache):
+        for text in map(to_text, default_catalog()):
+            G = cache.group(text)
+            if G.order > 200:
+                continue
+            T = cache.table(text)
+            want = tuple(tuple(c for c, v in enumerate(row) if v == d)
+                         for row, d in zip(T.rows, T.degrees))
+            assert T.kernel_classes == want, text
+            for r, cls in enumerate(want):
+                members = sorted(x for c in cls for x in T.classes.members[c])
+                assert character_kernel(T, r).indices == tuple(members)
+
     def test_examples(self, cache):
         G, T = cache.pair("S(4)")
         assert character_kernel(T, 0).order == 24
@@ -471,6 +484,111 @@ class TestDistinctValueWork:
         assert T.real_rows == (True, True, False)
 
 
+class TestLinearCharacters:
+    """Linear characters read off G/G' against a brute-force oracle, tables
+    that need no class matrix, and the checks on the construction."""
+
+    def test_degree_one_rows_match_oracle(self, cache):
+        from oracles import linear_characters_brute
+
+        checked = 0
+        for text in map(to_text, default_catalog()):
+            G = cache.group(text)
+            T = cache.table(text)
+            e = T.exponent
+            if e ** len(G.generator_indices) > 20000:
+                continue
+            roots = {}
+
+            def root(j):
+                if j not in roots:
+                    roots[j] = zeta(e, j)
+                return roots[j]
+
+            brute = linear_characters_brute(G)[:, list(T.classes.reps)]
+            want = {tuple(map(root, row)) for row in brute.tolist()}
+            got = {row for row, d in zip(T.rows, T.degrees) if d == 1}
+            assert len(want) == len(brute) and got == want, text
+            checked += 1
+        assert checked == 174
+
+    # Abelian groups, and F(113,112) whose complement is one row.
+    @pytest.mark.parametrize("text,digest", [
+        ("C(150)", "05ee2509ca599cafd64b721966ef260f60292d59d561ed52195613b2e03051b5"),
+        ("C(2)*C(90)", "52f1720e53921c32884789109c4eab0616d901c3a662a178dad74d5721b411f5"),
+        ("SD(5,3,1)", "f0e04472087d5b5305f18741611cc745c266ccf5c3dbd20bdcb0372795d43146"),
+        ("F(113,112)", "18637abeec6f40be0fb8171285cce0e8d423bf12f86ed4e145b0965d5d1714ca"),
+    ])
+    def test_tables_without_class_matrices(self, monkeypatch, text, digest):
+        import acdlab.chartab as chartab
+
+        def refuse(G, C, i):
+            raise AssertionError("class matrix built")
+
+        monkeypatch.setattr(chartab, "class_matrix", refuse)
+        T = character_table(build(parse_group_spec(text)))
+        assert verify_orthogonality(T).ok
+        assert hashlib.sha256(table_to_json(T).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("which,match", [
+        ("trivial", "every coset of the derived subgroup"),
+        ("whole", "degree-1 rows must be exactly the linear characters"),
+    ])
+    def test_wrong_derived_subgroup_raises(self, monkeypatch, which, match):
+        import acdlab.chartab as chartab
+        from acdlab.errors import EngineInvariantError
+        from acdlab.group import full_subgroup, trivial_subgroup
+
+        wrong = trivial_subgroup if which == "trivial" else full_subgroup
+        monkeypatch.setattr(chartab, "derived_subgroup", wrong)
+        with pytest.raises(EngineInvariantError, match=match):
+            character_table(build(parse_group_spec("S(4)")))
+
+    def test_homomorphism_check_survives_python_O(self):
+        import subprocess
+        import sys
+
+        # With G' taken to be trivial, S(3)'s six elements are labelled as
+        # if they formed C(3) x C(2), and the products fail the check.
+        code = (
+            "assert False\n"
+            "import acdlab.chartab as chartab\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.group import trivial_subgroup\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "chartab.derived_subgroup = trivial_subgroup\n"
+            "chartab.character_table(build(parse_group_spec('S(3)')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: a linear character must be a homomorphism on G/G'"
+        ), proc.stderr
+
+    @pytest.mark.parametrize("text", ["S(4)", "Q8*C(26)", "F(13,3)", "A(5)"])
+    def test_one_null_space_for_the_complement(self, monkeypatch, text):
+        import acdlab.chartab as chartab
+
+        shapes = []
+        real = chartab.nullspace_mod
+
+        def counted(A, q):
+            shapes.append(A.shape)
+            return real(A, q)
+
+        monkeypatch.setattr(chartab, "nullspace_mod", counted)
+        G = build(parse_group_spec(text))
+        mt = compute_mod_table(G)
+        n_lin, k = mt.linear.shape
+        assert shapes[0] == (n_lin, k)
+        # The rest are per-root fallbacks inside the split, on its s by s restrictions.
+        assert all(sh[0] == sh[1] < k for sh in shapes[1:]), shapes
+        assert mt.degrees[:n_lin] == (1,) * n_lin and min(mt.degrees[n_lin:]) > 1
+
+
 class TestInternals:
     def test_choose_conductor_prime(self):
         for e, n in ((12, 24), (6, 21), (4, 8)):
@@ -589,14 +707,23 @@ class TestInternals:
         J = np.array([[2, 1, 0], [0, 2, 0], [0, 0, 5]], dtype=np.int64)
         monkeypatch.setattr(chartab, "class_matrix", lambda G, C, i: J.T)
         with pytest.raises(EngineInvariantError, match="diagonalizable"):
-            chartab._split_eigenspaces(None, types.SimpleNamespace(num_classes=3), 13)
+            chartab._split_eigenspaces(
+                None, types.SimpleNamespace(num_classes=3), 13, np.eye(3, dtype=np.int64))
 
     @pytest.mark.parametrize("text", ["C(150)", "C(2)*C(90)"])
     def test_split_takes_few_null_spaces(self, cache, monkeypatch, text):
         import acdlab.chartab as chartab
+        from acdlab.group import exponent
 
+        # The table reads these abelian groups' characters off G/G' and
+        # splits nothing, so the split is driven here from the whole space.
         # q = k + 1 makes sum(1..k) = 0 mod q and C(2)*C(90) has roots of
-        # multiplicity 2; the parent split took a null space per root here.
+        # multiplicity 2; before the block Krylov pass the split took a
+        # null space per root here.
+        G = cache.group(text)
+        C = conjugacy_classes(G)
+        k = C.num_classes
+        q = chartab.choose_conductor_prime(exponent(G), G.order)
         shapes = []
         real = chartab.nullspace_mod
 
@@ -605,8 +732,8 @@ class TestInternals:
             return real(A, q)
 
         monkeypatch.setattr(chartab, "nullspace_mod", counted)
-        G = cache.group(text)
-        T = character_table(G)
+        rows = chartab._split_eigenspaces(G, C, q, np.eye(k, dtype=np.int64))
         assert len(shapes) <= 2, shapes
-        assert verify_orthogonality(T).ok
-        assert sum(d * d for d in T.degrees) == G.order
+        mt = compute_mod_table(G)
+        assert mt.q == q
+        assert sorted(map(tuple, np.array(rows).tolist())) == sorted(map(tuple, mt.omega.tolist()))
