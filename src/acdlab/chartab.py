@@ -312,24 +312,25 @@ class CharacterTable:
         return tuple(lcm(*(v.conductor for v in row)) for row in self.rows)
 
     @cached_property
+    def value_ids(self) -> Tuple[Tuple[CyclotomicValue, ...], np.ndarray]:
+        """The distinct values in first-seen order, and per cell its value's position there."""
+        return _value_ids(self.rows)
+
+    @cached_property
     def real_rows(self) -> Tuple[bool, ...]:
-        """Per row, whether every value equals its complex conjugate."""
-        real: Dict[CyclotomicValue, bool] = {}
-        for row in self.rows:
-            for v in row:
-                if v not in real:
-                    real[v] = v.is_real()
-        return tuple(all(real[v] for v in row) for row in self.rows)
+        """Per row, whether every value equals its complex conjugate (decided per distinct value)."""
+        distinct, V = self.value_ids
+        real = np.array([v.is_real() for v in distinct], dtype=bool)
+        return tuple(real[V].all(axis=1).tolist())
 
     @cached_property
     def kernel_classes(self) -> Tuple[Tuple[int, ...], ...]:
         """Per row, the classes where the character takes its degree.
 
-        Each distinct value gets an id once, so a cell is compared with the
-        degree (the row's value on the identity class) by its id.
+        A cell is compared with the degree (the row's value on the identity
+        class) by its value id.
         """
-        ids = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(self.rows)))}
-        V = np.array([list(map(ids.__getitem__, row)) for row in self.rows])
+        V = self.value_ids[1]
         return tuple(tuple(np.flatnonzero(row == row[0]).tolist()) for row in V)
 
     @cached_property
@@ -337,6 +338,21 @@ class CharacterTable:
         """Per unit t mod the exponent, the images under zeta -> zeta^t of
         the values twisted so far; ``galois_conjugate`` fills it."""
         return {}
+
+
+def _value_ids(rows: Sequence[Sequence[CyclotomicValue]]
+               ) -> Tuple[Tuple[CyclotomicValue, ...], np.ndarray]:
+    """The distinct values of rows in first-seen order, and per cell its value's position there.
+
+    A table holds far fewer value objects than cells, so cells are grouped
+    by object identity first, and only one cell per object is hashed by value.
+    """
+    cells = list(chain.from_iterable(rows))
+    objects = dict(zip(map(id, cells), cells))
+    ids: Dict[CyclotomicValue, int] = {}
+    of_object = {i: ids.setdefault(v, len(ids)) for i, v in objects.items()}
+    V = np.fromiter(map(of_object.__getitem__, map(id, cells)), dtype=np.intp, count=len(cells))
+    return tuple(ids), V.reshape(len(rows), -1)
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
@@ -389,11 +405,18 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     trivial = np.flatnonzero(~mt.linear.any(axis=1)).tolist()
     if len(trivial) != 1:
         raise EngineInvariantError("exactly one trivial character")
-    order_keys = sorted(
-        (r for r in range(k) if r != trivial[0]),
-        key=lambda r: (mt.degrees[r], tuple(map(CyclotomicValue.sort_key, rows[r]))),
-    )
-    perm = trivial + order_keys
+    # Sort the rows by degree, then by their values' sort keys column by
+    # column: rank the distinct values once (equal keys, equal ranks) and
+    # sort the rank rows; np.lexsort is stable and takes its last key first.
+    distinct, ids = _value_ids(rows)
+    keys = [v.sort_key() for v in distinct]
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(keys)
+    for prev, cur in zip(by_key, by_key[1:]):
+        rank[cur] = rank[prev] + (keys[cur] != keys[prev])
+    others = np.array([r for r in range(k) if r != trivial[0]], dtype=np.int64)
+    sort_keys = np.vstack([np.asarray(rank)[ids[others]].T[::-1], np.asarray(mt.degrees)[others]])
+    perm = trivial + others[np.lexsort(sort_keys)].tolist()
     degrees = tuple(mt.degrees[r] for r in perm)
     if not all(G.order % d == 0 for d in degrees):
         raise EngineInvariantError("degrees must divide the group order")

@@ -6,11 +6,12 @@ Every element is known by its index, all operations below are pure functions
 of the group object, and results are cached on the instance, so a group can
 be shared freely between computations (and across forked worker processes).
 
-``generate_group`` creates the rows and their ``bytes -> index`` dict with
-its own block-wise closure.  Every later closure over element indices
-(conjugacy classes, generated subgroups, conjugation inside a subgroup, the
-p-complement test) is one call of :func:`_orbit`, with a step that maps a
-whole frontier at once.
+``generate_group`` creates the rows and their ``bytes -> index`` dict, and
+keeps the index of every product x s of an element and a generator that its
+closure looks up: the generator table ``G._right``.  Conjugacy classes are
+read off that table by integer gathers.  Subgroup closures (generated
+subgroups, normal closures, the derived series, the p-complement test) are
+one routine, :func:`_closure`, which grows a subgroup by whole cosets.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import perm as pm
-from .errors import DomainError, InputError, SizeLimitError
+from .errors import DomainError, EngineInvariantError, InputError, SizeLimitError
 from .number_theory import is_prime, p_prime_part
 from .perm import Perm
 
@@ -50,10 +51,12 @@ class FiniteGroup:
 
     Construct via :func:`generate_group`.  Element i is ``rows[i]``, its image
     row; row 0 is the identity, and the rows are closed under composition and
-    inversion.  ``_index`` maps a row's bytes back to its index.
+    inversion.  ``_index`` maps a row's bytes back to its index, and
+    ``_right[x, s]`` is the index of x times the s-th generator
+    (``generator_indices[s]``).
     """
 
-    def __init__(self, rows: np.ndarray, index: Dict[bytes, int],
+    def __init__(self, rows: np.ndarray, index: Dict[bytes, int], right: np.ndarray,
                  generator_indices: Tuple[int, ...], bfs_parents: Tuple[Tuple[int, int], ...]):
         self.rows = rows
         self.degree = rows.shape[1]
@@ -61,6 +64,7 @@ class FiniteGroup:
         self.identity = 0
         self._bfs_parents = bfs_parents
         self._index = index
+        self._right = right
         self._inverse: Optional[Tuple[int, ...]] = None
         self._orders: Optional[Tuple[int, ...]] = None
         self._exponent: Optional[int] = None
@@ -117,19 +121,28 @@ class FiniteGroup:
 
     def powers(self, i: int, m: int) -> List[int]:
         """Indices of g^0, g^1, ..., g^(m-1) for g = element i."""
-        g = self.rows[i].astype(np.int64)
-        rows = np.empty((m, self.degree), dtype=np.int64)
-        cur = np.arange(self.degree, dtype=np.int64)
-        for t in range(m):
-            rows[t] = cur
-            cur = g[cur]
+        g = self.rows[i]
+        rows = np.empty((m, self.degree), dtype=g.dtype)
+        rows[:1] = np.arange(self.degree)
+        s = 1
+        # Doubling: with g^0 .. g^(s-1) known, g^(s+j) is g^j after g^s.
+        while s < m:
+            gs = rows[s - 1][g]
+            c = min(s, m - s)
+            rows[s:s + c] = rows[:c][:, gs]
+            s += c
         return self.index_rows(rows).tolist()
 
     def inverse_table(self) -> Tuple[int, ...]:
         if self._inverse is None:
             # The argsort of a permutation's image row is its inverse.  The
-            # stable sort of 8- and 16-bit rows is a radix sort, linear in degree.
-            inv_rows = np.argsort(self.rows, axis=1, kind="stable")
+            # stable sort of 8- and 16-bit rows is a radix sort, linear in
+            # degree.  Its int64 result is taken in chunks of rows, so the
+            # temporary stays near 64 k entries whatever the group's order.
+            inv_rows = np.empty_like(self.rows)
+            chunk = max(1, (1 << 16) // self.degree)
+            for a in range(0, self.order, chunk):
+                inv_rows[a:a + chunk] = np.argsort(self.rows[a:a + chunk], axis=1, kind="stable")
             self._inverse = tuple(self.index_rows(inv_rows).tolist())
         return self._inverse
 
@@ -137,8 +150,8 @@ class FiniteGroup:
         if self._orders is None:
             # Conjugate elements share their order: one cycle type per class.
             C = conjugacy_classes(self)
-            rep_orders = [pm.order_of(tuple(row)) for row in self.rows[list(C.reps)].tolist()]
-            self._orders = tuple(rep_orders[c] for c in C.class_of)
+            rep_orders = _perm_orders(self.rows[list(C.reps)])
+            self._orders = tuple(rep_orders[list(C.class_of)].tolist())
         return self._orders
 
     def word_for(self, i: int) -> Tuple[int, ...]:
@@ -167,6 +180,26 @@ class FiniteGroup:
 def _row_keys(rows: np.ndarray) -> List[bytes]:
     """The bytes of each row of a C-contiguous array: the keys of a group's index."""
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _perm_orders(rows: np.ndarray) -> np.ndarray:
+    """Order of each permutation of an (n, degree) array of image rows."""
+    n, deg = rows.shape
+    chunk = max(1, (1 << 16) // deg)  # rows per pass, which bounds the int64 work arrays
+    if n > chunk:
+        return np.concatenate([_perm_orders(rows[a:a + chunk]) for a in range(0, n, chunk)])
+    # Number the points of all rows together, so each step is one flat gather.
+    p = (rows + deg * np.arange(n)[:, None]).ravel()
+    low = np.arange(n * deg)
+    # Pointer doubling: after t rounds, low[i] is the least of p^j(i) for
+    # j < 2^t, and p is the original permutation to the power 2^t.
+    for _ in range((deg - 1).bit_length()):
+        np.minimum(low, low[p], out=low)
+        p = p[p]
+    # low[i] is now the least point of i's cycle, so a cycle's length is
+    # how many points share that point.
+    lengths = np.bincount(low, minlength=n * deg)[low].reshape(n, deg)
+    return np.lcm.reduce(lengths, axis=1)
 
 
 def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = None,
@@ -201,6 +234,8 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
     parents: List[Tuple[int, int]] = [(-1, -1)]
     gen_rows = np.array(gen_perms, dtype=np.intp).reshape(-1, deg)
     ngens = len(gen_rows)
+    right: List[np.ndarray] = []
+    get = index.get
     pos = 0
     # Each round multiplies the whole unprocessed tail by every generator and
     # scans the products in (element, generator) order, which is exactly the
@@ -208,62 +243,26 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
     while len(block) and ngens:
         prods = np.take(block, gen_rows, axis=1).reshape(-1, deg)
         new_rows: List[int] = []
+        ids: List[int] = []
         for r, key in enumerate(_row_keys(prods)):
-            if key not in index:
-                index[key] = len(index)
+            j = get(key)
+            if j is None:
+                j = index[key] = len(index)
                 new_rows.append(r)
                 parents.append((pos + r // ngens, r % ngens))
-                if len(index) > cap:
+                if j >= cap:
                     raise SizeLimitError(
                         f"group order exceeds cap {cap}; raise {ORDER_CAP_ENV} to allow larger groups")
+            ids.append(j)
+        right.append(np.array(ids, dtype=np.int32).reshape(-1, ngens))
         pos += len(block)
         block = prods[new_rows]
         blocks.append(block)
 
     rows = np.concatenate(blocks)
     gen_indices = tuple(index[np.asarray(g, dtype=rows.dtype).tobytes()] for g in gen_perms)
-    return FiniteGroup(rows, index, gen_indices, tuple(parents))
-
-
-# -- orbits ------------------------------------------------------------------
-
-
-def _orbit(seeds: Iterable[int], step: Callable[[List[int]], Iterable[int]],
-           limit: Optional[int] = None) -> Optional[List[int]]:
-    """Breadth-first closure of the seed indices under step.
-
-    ``step(frontier)`` returns the images of a whole frontier.  The result
-    lists the seeds, then each new image in discovery order; it is None once
-    the closure holds more than ``limit`` elements.
-    """
-    seen = dict.fromkeys(seeds)  # insertion-ordered set
-    frontier = list(seen)
-    while frontier:
-        new: List[int] = []
-        for y in step(frontier):
-            if y not in seen:
-                seen[y] = None
-                new.append(y)
-        if limit is not None and len(seen) > limit:
-            return None
-        frontier = new
-    return list(seen)
-
-
-def _product_step(G: FiniteGroup, factors: Sequence[Tuple[int, int]]
-                  ) -> Callable[[List[int]], List[int]]:
-    """Orbit step mapping each frontier element x to l x r for every (l, r) in factors."""
-    E = G.rows
-    left = E[[l for l, _ in factors]]
-    right = E[[r for _, r in factors]]
-    which = np.arange(len(factors))[:, None]
-
-    def step(frontier: List[int]) -> List[int]:
-        # rows[a, b, i] = x_a[r_b[i]]; then l_b is applied to each row.
-        rows = E[frontier][:, right]
-        return G.index_rows(left[which, rows].reshape(-1, G.degree)).tolist()
-
-    return step
+    right_table = np.concatenate(right) if ngens else np.zeros((1, 0), dtype=np.int32)
+    return FiniteGroup(rows, index, right_table, gen_indices, tuple(parents))
 
 
 # -- conjugacy classes ------------------------------------------------------
@@ -289,37 +288,42 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
     if G._classes is not None:
         return G._classes
     n = G.order
-    E = G.rows
-    # conj[x] = index of g x g^-1, for each generator g at once over all x.
-    conj_maps = []
-    for i in G.generator_indices:
-        g = E[i]
-        ginv = E[G.inv(i)]
-        conj_maps.append(G.index_rows(g[E[:, ginv]]).tolist())
-
-    def step(frontier: List[int]) -> List[int]:
-        return [m[x] for x in frontier for m in conj_maps]
-
-    class_of = [-1] * n
-    reps: List[int] = []
-    members: List[List[int]] = []
-    for start in range(n):
-        if class_of[start] != -1:
-            continue
-        orbit = sorted(_orbit([start], step))
-        for x in orbit:
-            class_of[x] = len(reps)
-        reps.append(start)
-        members.append(orbit)
-    inv = G.inverse_table()
-    inverse_class = tuple(class_of[inv[r]] for r in reps)
+    inv = np.asarray(G.inverse_table())
+    right = G._right
+    # conj[x] = s^-1 x s for each generator s, by four gathers over all x.
+    conj = [right[inv[right[inv, s]], s] for s in range(right.shape[1])]
+    # Label every element with the least index in its class: take the least
+    # label over each map and over its 2^t-th power (so one map's cycles
+    # close in logarithmically many rounds), jump to the label's label, and
+    # stop once a round changes nothing.  Labels stay within the class, and
+    # a fixed point is constant along every map, so it is the class minimum.
+    label = np.arange(n)
+    jumps = conj
+    while True:
+        before = label
+        for m, jump in zip(conj, jumps):
+            label = np.minimum(label, label[m])
+            label = np.minimum(label, label[jump])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+        jumps = [jump[jump] for jump in jumps]
+    reps = np.flatnonzero(label == np.arange(n))
+    class_of = np.empty(n, dtype=np.intp)
+    class_of[reps] = np.arange(len(reps))
+    class_of = class_of[label]
+    sizes = np.bincount(class_of)
+    if sizes.sum() != n or (n % sizes).any():
+        raise EngineInvariantError("class sizes must divide the group order and sum to it")
+    ends = np.cumsum(sizes).tolist()
+    by_class = np.argsort(class_of, kind="stable").tolist()
     data = ClassData(
         num_classes=len(reps),
-        reps=tuple(reps),
-        sizes=tuple(len(m) for m in members),
-        class_of=tuple(class_of),
-        members=tuple(tuple(m) for m in members),
-        inverse_class=inverse_class,
+        reps=tuple(reps.tolist()),
+        sizes=tuple(sizes.tolist()),
+        class_of=tuple(class_of.tolist()),
+        members=tuple(tuple(by_class[e - s:e]) for s, e in zip(sizes.tolist(), ends)),
+        inverse_class=tuple(class_of[inv[reps]].tolist()),
     )
     G._classes = data
     return data
@@ -332,10 +336,7 @@ def element_order(G: FiniteGroup, i: int) -> int:
 
 def exponent(G: FiniteGroup) -> int:
     if G._exponent is None:
-        e = 1
-        for o in G.orders():
-            e = math.lcm(e, o)
-        G._exponent = e
+        G._exponent = math.lcm(*set(G.orders()))
     return G._exponent
 
 
@@ -389,23 +390,77 @@ def trivial_subgroup(G: FiniteGroup) -> SubgroupHandle:
     return SubgroupHandle(G, (0,))
 
 
-def _closure(G: FiniteGroup, candidates: Iterable[int], limit: Optional[int] = None
-             ) -> Optional[Tuple[List[int], Set[int]]]:
-    """Greedy generators and members of the subgroup the candidates generate.
+def _closure(G: FiniteGroup, candidates: Iterable[int], limit: Optional[int] = None,
+             conjugators: Sequence[int] = ()) -> Optional[Tuple[List[int], List[int]]]:
+    """Greedy generators and sorted members of the subgroup the candidates generate.
 
-    Each candidate not yet in the closure becomes a generator, and the closure
-    is grown again.  None once the closure holds more than ``limit`` elements.
+    Each candidate not yet in the closure H becomes a generator g, and H
+    grows to <H, g> by whole right cosets of H (Dimino's algorithm): first
+    the cosets H g^j for 0 < j < r, r the least with g^r in H, then, round by
+    round, the coset H y of every product y of a new coset's representative
+    and a generator that the closure does not hold yet.  The conjugates
+    c^-1 g c of each generator by the conjugators are candidates too, so the
+    result is also closed under conjugation by them.  None once the closure
+    holds more than ``limit`` elements.
     """
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    H = np.zeros(1, dtype=np.intp)
     gens: List[int] = []
-    members: Set[int] = {0}
-    for i in candidates:
-        if i not in members:
-            gens.append(i)
-            grown = _orbit([0], _product_step(G, [(0, g) for g in gens]), limit)
-            if grown is None:
+    queue = list(candidates)
+    for g in queue:  # conjugates are appended while iterating
+        if member[g]:
+            continue
+        gens.append(g)
+        if conjugators:
+            queue.extend(_conjugates(G, g, conjugators))
+        cyclic = np.asarray(G.powers(g, G.orders()[g]))
+        hits = np.flatnonzero(member[cyclic])
+        r = int(hits[1]) if len(hits) > 1 else len(cyclic)
+        if limit is not None and len(H) * r > limit:
+            return None
+        reps = cyclic[1:r]
+        cosets = _products(G, H, reps).T
+        while len(reps):
+            member[cosets] = True
+            size = np.count_nonzero(member)
+            if size % len(H):
+                raise EngineInvariantError("a coset step must keep |H| dividing the closure's order")
+            if limit is not None and size > limit:
                 return None
-            members = set(grown)
-    return gens, members
+            y = _products(G, reps, gens).ravel()
+            y = y[~member[y]]
+            if not len(y):
+                break
+            y = y[_first_occurrences(y)]
+            cosets = _products(G, H, y).T
+            # Products in one coset have the same coset, so the same least element.
+            first = _first_occurrences(cosets.min(axis=1))
+            reps, cosets = y[first], cosets[first]
+        H = np.flatnonzero(member)
+    return gens, H.tolist()
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Position of the first occurrence of each distinct key (np.unique would import numpy.ma)."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    return order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+
+
+def _products(G: FiniteGroup, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
+    """Indices of x y for x in left (rows) and y in right (columns)."""
+    E = G.rows
+    rows = np.take(E[left], E[right], axis=1).reshape(-1, G.degree)
+    return G.index_rows(rows).reshape(len(left), len(right))
+
+
+def _conjugates(G: FiniteGroup, x: int, conjugators: Sequence[int]) -> List[int]:
+    """Indices of c^-1 x c for each c in conjugators."""
+    E = G.rows
+    inv = G.inverse_table()
+    rows = np.take(E[[inv[c] for c in conjugators]], E[x], axis=1)
+    return G.index_rows(np.take_along_axis(rows, E[conjugators], axis=1)).tolist()
 
 
 def _commutators(G: FiniteGroup, gens: Sequence[int]) -> Set[int]:
@@ -444,9 +499,7 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
 def _derived_of_handle(G: FiniteGroup, H: SubgroupHandle) -> SubgroupHandle:
     """Commutator subgroup of H: closure of its generator commutators under conjugation in H."""
     gens = _closure(G, H.indices)[0]  # type: ignore[index]
-    inv = G.inverse_table()
-    conj = _orbit(_commutators(G, gens), _product_step(G, [(g, inv[g]) for g in gens]))
-    return subgroup_generated(G, conj)  # type: ignore[arg-type]
+    return SubgroupHandle(G, _closure(G, sorted(_commutators(G, gens)), conjugators=gens)[1])  # type: ignore[index]
 
 
 def derived_series(G: FiniteGroup) -> List[SubgroupHandle]:
@@ -537,8 +590,7 @@ def is_p_nilpotent(G: FiniteGroup, p: int, want_certificate: bool = True
         raise InputError(f"p-nilpotence needs a prime, got {p}")
     if p not in G._pnil:
         target = p_prime_part(G.order, p)
-        orders = G.orders()
-        S = [i for i in range(G.order) if orders[i] % p != 0]
+        S = np.flatnonzero(np.asarray(G.orders()) % p).tolist()
         # The closure contains S, so staying within target means it is S.
         ok = len(S) == target and _closure(G, S, limit=target) is not None
         G._pnil[p] = tuple(S) if ok else None

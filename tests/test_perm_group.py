@@ -16,6 +16,7 @@ from acdlab.constructions import (
 )
 from acdlab.errors import InputError, SizeLimitError
 from acdlab.group import (
+    _closure,
     center,
     conjugacy_classes,
     derived_series,
@@ -113,6 +114,12 @@ class TestGenerateGroup:
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
             generate_group([[1, 2, 3, 4, 5, 6, 0]], cap=5)
+
+    def test_cap_stops_a_cyclic_closure_one_past_it(self):
+        # C7 grows one element per round; the seventh element crosses cap 6.
+        with pytest.raises(SizeLimitError):
+            generate_group([[1, 2, 3, 4, 5, 6, 0]], cap=6)
+        assert generate_group([[1, 2, 3, 4, 5, 6, 0]], cap=7).order == 7
 
     def test_cap_env_var(self, monkeypatch):
         monkeypatch.setenv("ACDLAB_ORDER_CAP", "5")
@@ -298,9 +305,38 @@ class TestAgainstLoopReference:
             m = G.orders()[i]
             assert G.powers(i, m) == [G.power(i, t) for t in range(m)]
 
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
+    def test_generator_table(self, G):
+        assert G._right.shape == (G.order, len(G.generator_indices))
+        for x in range(G.order):
+            for s, g in enumerate(G.generator_indices):
+                assert G._right[x, s] == G.mul(x, g)
+
+    @pytest.mark.parametrize("spec, reflections", [
+        (Dihedral(101), 101), (DirectProduct(Cyclic(2), Dihedral(53)), 53),
+    ], ids=["D(202)", "C(2)*D(106)"])
+    def test_classes_needing_many_label_rounds(self, spec, reflections):
+        # The reflection classes (101 and 53 elements) are long cycles of
+        # the conjugation maps, so their labels settle only after several
+        # rounds of doubling; stopping early splits them.
+        G = build(spec)
+        assert list(conjugacy_classes(G).class_of) == _classes_by_loop(G)
+        assert max(conjugacy_classes(G).sizes) == reflections
+
     @staticmethod
     def _seeds(G):
         return ([1], [G.order // 2], [G.order - 1], [1, G.order // 3])
+
+    @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
+    def test_closure_limit(self, G):
+        ident = G.elements[0]
+        for seed in self._seeds(G):
+            size = len(_generated_by_loop(ident, [G.elements[i] for i in seed]))
+            for limit in (1, size - 1, size, size + 1, G.order):
+                got = _closure(G, seed, limit)
+                assert (got is None) == (size > limit)
+                if got is not None:
+                    assert len(got[1]) == size
 
     @staticmethod
     def _perms(G, H):
@@ -342,6 +378,33 @@ class TestAgainstLoopReference:
             ok, K = is_p_nilpotent(G, p)
             assert ok == (want is not None)
             assert (self._perms(G, K) if ok else K) == want
+
+
+class TestInvariantChecks:
+    def test_class_size_check_survives_python_O(self):
+        import subprocess
+        import sys
+
+        # With every inverse taken to be the identity, the conjugation maps
+        # send each element to a generator, and the labels merge five of
+        # S(3)'s six elements into one "class".
+        code = (
+            "assert False\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.group import conjugacy_classes\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "G = build(parse_group_spec('S(3)'))\n"
+            "G._inverse = (0,) * G.order\n"
+            "conjugacy_classes(G)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: class sizes must divide the group order and sum to it"
+        ), proc.stderr
 
 
 class TestConjugacyClasses:
