@@ -9,7 +9,8 @@ class matrices, so an abelian group builds no class matrix.  Degrees come
 from the second orthogonality relation; each nonlinear value is lifted to
 an exact cyclotomic number through the root-of-unity multiplicity transform
 at the conductor of the class representative.  All arithmetic is
-integer-exact; no floating point anywhere.
+integer-exact: the orthogonality check's float64 products only ever hold
+integers below 2^53.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicValue, Rat, exponent_counts_to_coordinates
+from .cyclotomic import CyclotomicValue, Rat
 from .errors import EngineInvariantError, InputError
 from .group import (
     ClassData,
@@ -41,7 +42,7 @@ from .linalg_mod import (
     rref_mod,
     sqrt_mod,
 )
-from .number_theory import is_prime, multiplicative_order, primitive_root
+from .number_theory import is_prime, multiplicative_order, primitive_root, unit_group_generators
 
 
 def choose_conductor_prime(exp: int, order: int) -> int:
@@ -213,6 +214,16 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) 
     return out
 
 
+def _root_powers(omega: int, e: int, q: int) -> np.ndarray:
+    """omega^j mod q for j < e, by doubling."""
+    out = np.ones(e, dtype=np.int64)
+    n = 1
+    while n < e:
+        out[n:2 * n] = out[:min(n, e - n)] * pow(omega, n, q) % q
+        n *= 2
+    return out
+
+
 def compute_mod_table(G: FiniteGroup) -> ModTable:
     C = conjugacy_classes(G)
     e = exponent(G)
@@ -222,11 +233,7 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     omega_root = pow(primitive_root(q), (q - 1) // e, q)
     if multiplicative_order(omega_root, q) != e:
         raise EngineInvariantError(f"omega root must have order {e} mod {q}")
-    root_powers = np.ones(e, dtype=np.int64)  # omega_root^j mod q, by doubling
-    n = 1
-    while n < e:
-        root_powers[n:2 * n] = root_powers[:min(n, e - n)] * pow(omega_root, n, q) % q
-        n *= 2
+    root_powers = _root_powers(omega_root, e, q)
 
     sizes = np.asarray(C.sizes, dtype=np.int64)
     J = linear_characters(G, C, e)
@@ -439,135 +446,207 @@ class OrthogonalityReport:
     column_failures: Tuple[Tuple[int, int, CyclotomicValue], ...]
 
 
-def _hermitian_pair_failures(
+def _twists(T: CharacterTable, values: Sequence[CyclotomicValue], t: int) -> List[CyclotomicValue]:
+    """Images of values under zeta -> zeta^t, for a unit t reduced mod the
+    exponent; each value is twisted once per table and unit (``galois_images``)."""
+    images = T.galois_images.setdefault(t, {})
+    out = []
+    for v in values:
+        w = images.get(v)
+        if w is None:
+            if T.exponent % v.conductor:
+                raise EngineInvariantError("value conductors must divide the exponent")
+            w = images[v] = v.galois(t % v.conductor) if v.conductor > 1 else v
+        out.append(w)
+    return out
+
+
+def _galois_permutations(T: CharacterTable) -> Optional[List[np.ndarray]]:
+    """Per t among the generators of the units mod the exponent and t = -1,
+    the permutation pi_t with sigma_t(row r) = row pi_t(r).
+
+    None when two rows are equal or a twisted row is not a row.  Each
+    distinct value is twisted once, and each twisted row is looked up by the
+    bytes of its value-id row.
+    """
+    e = T.exponent
+    distinct, V = T.value_ids
+    lookup = {row.tobytes(): r for r, row in enumerate(V)}
+    if len(lookup) != len(V):
+        return None
+    position = {v: i for i, v in enumerate(distinct)}
+    perms = []
+    for t in sorted(set(unit_group_generators(e)) | {e - 1}) if e > 2 else ():
+        ids = np.array([position.get(w, -1) for w in _twists(T, distinct, t)], dtype=V.dtype)
+        if (ids < 0).any():
+            return None
+        perm = [lookup.get(row.tobytes(), -1) for row in ids[V]]
+        if -1 in perm:
+            return None
+        perms.append(np.asarray(perm))
+    return perms
+
+
+def _split_primes(e: int, k: int, bound: int) -> List[int]:
+    """Primes q = 1 (mod e) with k (q - 1)^2 < 2^53, largest first, until
+    their product exceeds bound; none if they run out before."""
+    top = isqrt((2**53 - 1) // k)  # the largest q - 1 allowed
+    primes: List[int] = []
+    product = 1
+    for j in range(top // e, 0, -1):
+        if product > bound:
+            break
+        if is_prime(e * j + 1):
+            primes.append(e * j + 1)
+            product *= e * j + 1
+    return primes if product > bound else []
+
+
+def _value_images(values: Sequence[CyclotomicValue], e: int, q: int,
+                  ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per value and unit t in ts, the images in F_q of the value and of its
+    complex conjugate under zeta_m -> omega^(t e/m), where omega is a fixed
+    primitive e-th root of unity mod q; one product per conductor."""
+    pw = _root_powers(pow(primitive_root(q), (q - 1) // e, q), e, q)
+    by_conductor: Dict[int, List[int]] = {}
+    for i, v in enumerate(values):
+        by_conductor.setdefault(v.conductor, []).append(i)
+    img = np.empty((len(values), len(ts)), dtype=np.int64)
+    conj = np.empty((len(values), len(ts)), dtype=np.int64)
+    for m, idx in by_conductor.items():
+        coeffs = (np.array([values[i].coeffs for i in idx]) % q).astype(np.int64)
+        j = np.outer(ts, np.arange(coeffs.shape[1]) * (e // m)) % e
+        img[idx] = _product_mod(coeffs, pw[j], q)
+        conj[idx] = _product_mod(coeffs, pw[-j % e], q)
+    return img, conj
+
+
+def _product_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """A @ B^T mod q, for integer entries in [0, q).  The inner dimension is
+    summed in float64, in slices short enough that every partial sum is an
+    integer below 2^53, which float64 holds exactly."""
+    step = max(1, (2**53 - 1) // (q - 1) ** 2)
+    out = np.zeros((A.shape[0], B.shape[0]), dtype=np.int64)
+    for s in range(0, A.shape[1], step):
+        out += (A[:, s:s + step].astype(np.float64) @ B[:, s:s + step].T.astype(np.float64)).astype(np.int64)
+        out %= q
+    return out
+
+
+def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """k x k masks of the row pairs and the column pairs whose relation may
+    fail; None when every pair must be summed exactly."""
+    e, k, order = T.exponent, T.num_chars, T.group.order
+    distinct, V = T.value_ids
+    if any(e % v.conductor or any(type(c) is not int for c in v.coeffs) for v in distinct):
+        return None
+    perms = _galois_permutations(T)
+    sizes = np.asarray(T.classes.sizes, dtype=np.int64)
+    # Every complex absolute value of a row sum is at most
+    # sum_c |K_c| |v_a(c)|_1 |v_b(c)|_1 + |G|, and of a column sum at most
+    # sum_r |v_r(c)|_1 |v_r(d)|_1 + |C_G(g_c)|; bound both by the largest
+    # l1 norm in each column and in each row.
+    norms = np.array([sum(map(abs, v.coeffs)) for v in distinct])[V]
+    bound = max(
+        sum(int(w) * int(n) ** 2 for w, n in zip(sizes, norms.max(axis=0))) + order,
+        sum(int(n) ** 2 for n in norms.max(axis=1)) + order // int(sizes.min()),
+    )
+    primes = _split_primes(e, k, bound)
+    if not primes:
+        return None
+    # Galois-closed rows need the one embedding zeta_e -> omega; other rows
+    # need every embedding zeta_e -> omega^t, t a unit, taken in batches whose
+    # images fit in k^2 entries.
+    units = np.array([1] if perms is not None else [t for t in range(1, e + 1) if gcd(t, e) == 1])
+    batch = max(1, k * k // len(distinct))
+    row_bad = np.zeros((k, k), dtype=bool)
+    col_bad = np.zeros((k, k), dtype=bool)
+    for q in primes:
+        row_diag = np.diag(np.full(k, order % q))
+        col_diag = np.diag(order // sizes % q)
+        for lo in range(0, len(units), batch):
+            img, conj = _value_images(distinct, e, q, units[lo:lo + batch])
+            for i in range(img.shape[1]):
+                X, Xc = img[:, i][V], conj[:, i][V]
+                row_bad |= _product_mod(X, Xc * (sizes % q) % q, q) != row_diag
+                col_bad |= _product_mod(X.T, Xc.T, q) != col_diag
+    # A failing row pair marks its orbit: (a, b) is marked when
+    # (pi_t a, pi_t b) is, for each generator t, until nothing changes.
+    while perms and row_bad.any():
+        grown = row_bad.copy()
+        for p in perms:
+            grown |= row_bad[np.ix_(p, p)]
+        if np.array_equal(grown, row_bad):
+            break
+        row_bad = grown
+    return row_bad, col_bad
+
+
+def _exact_failures(
     vecs: Sequence[Sequence[CyclotomicValue]],
     weights: Sequence[int],
     diag: Sequence[int],
+    marked: np.ndarray,
 ) -> List[Tuple[int, int, CyclotomicValue]]:
-    """Exact check that sum_c w_c v_a(c) conj(v_b(c)) = diag[a] * delta_ab.
+    """The pairs a <= b marked in either order whose exact sum
+    sum_c w_c v_a(c) conj(v_b(c)) is not diag[a] * delta_ab, in row-major
+    order, each with its sum.  A pair's terms are accumulated as exponent
+    counts at the lcm of its two vectors' conductors."""
+    terms: Dict[int, List[Tuple[int, List[Tuple[int, Rat]]]]] = {}
 
-    Every integer-coefficient value is a sum of terms c * zeta_m^j over its
-    conductor's power basis.  All pair products of those terms are summed at
-    the joint conductor L as exponent counts: single-term coordinates through
-    one dense numpy scatter-add, multi-term ones through a sparse scatter-add
-    per coordinate.  Each pair's counts are then reduced to exact
-    coordinates over a Q-basis of Q(zeta_L).  Only values with fractional
-    coefficients go through exact per-pair dictionary accumulation.
-    """
-    n, ncoord = len(vecs), len(weights)
-    conds = np.ones((n, ncoord), dtype=np.int64)
-    exps = np.zeros((n, ncoord), dtype=np.int64)
-    cofs = np.zeros((n, ncoord), dtype=np.int64)
-    multi: Dict[int, List[Tuple[int, int, Dict[int, int]]]] = {}
-    hard: List[List[int]] = [[] for _ in range(n)]
-    L = 1
-    for a, vec in enumerate(vecs):
-        for c, val in enumerate(vec):
-            t = val.terms()
-            if not t:
-                continue
-            if not all(isinstance(co, int) for co in t.values()):
-                hard[a].append(c)
-                continue
-            L = lcm(L, val.conductor)
-            if len(t) == 1:
-                ((j, co),) = t.items()
-                conds[a, c] = val.conductor
-                exps[a, c] = j
-                cofs[a, c] = co
-            else:
-                multi.setdefault(c, []).append((a, val.conductor, t))
-    exps = exps * (L // conds)
-
-    ia, ib = np.triu_indices(n)
-    P = ia.shape[0]
-    D = (exps[ia] - exps[ib]) % L
-    Wgt = np.asarray(weights, dtype=np.int64)[None, :] * cofs[ia] * cofs[ib]
-    R = np.zeros((P, L), dtype=np.int64)
-    np.add.at(R, (np.arange(P)[:, None], D), Wgt)
-
-    # Pair index of (x, y), x <= y, in the triu_indices order.
-    def pair_index(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x * n - x * (x - 1) // 2 + (y - x)
-
-    for c, entries in multi.items():
-        # Every integer term in this coordinate, over all vectors.
-        col_vec, col_exp, col_cof = [], [], []
-        multi_here = set()
-        for b in range(n):
-            if cofs[b, c]:
-                col_vec.append(b)
-                col_exp.append(int(exps[b, c]))
-                col_cof.append(int(cofs[b, c]))
-        for b, m, t in entries:
-            multi_here.add(b)
-            for j, co in t.items():
-                col_vec.append(b)
-                col_exp.append(j * (L // m))
-                col_cof.append(co)
-        cv = np.asarray(col_vec, dtype=np.int64)
-        ce = np.asarray(col_exp, dtype=np.int64)
-        cc = np.asarray(col_cof, dtype=np.int64)
-        w = int(weights[c])
-        for a, m, t in entries:
-            # Products with every vector's terms; a pair of two multi-term
-            # vectors is taken once, from its smaller member.
-            keep = ~np.isin(cv, [b for b in multi_here if b < a])
-            bv, be, bc = cv[keep], ce[keep], cc[keep]
-            ja = np.asarray([j * (L // m) for j in t], dtype=np.int64)[:, None]
-            ca = np.asarray(list(t.values()), dtype=np.int64)[:, None]
-            x = np.minimum(a, bv)[None, :]
-            y = np.maximum(a, bv)[None, :]
-            # The pair (x, y) sums v_x * conj(v_y): a's exponent enters with
-            # the sign of its side.
-            sign = np.where(bv[None, :] >= a, 1, -1)
-            d = (sign * (ja - be[None, :])) % L
-            pidx = np.broadcast_to(pair_index(x, y), d.shape)
-            np.add.at(R, (pidx.ravel(), d.ravel()), (w * ca * bc[None, :]).ravel())
-
-    S = exponent_counts_to_coordinates(R, L)
-
-    hard_flag = np.array([bool(h) for h in hard])
-    plain = ~(hard_flag[ia] | hard_flag[ib])
-    rational = ~S[:, 1:].any(axis=1) if S.shape[1] > 1 else np.ones(P, dtype=bool)
-    expected0 = np.where(ia == ib, np.asarray(diag, dtype=np.int64)[ia], 0)
-    ok_plain = plain & rational & (S[:, 0] == expected0)
+    def parts(a: int) -> List[Tuple[int, List[Tuple[int, Rat]]]]:
+        p = terms.get(a)
+        if p is None:
+            p = terms[a] = [(v.conductor, list(v.terms().items())) for v in vecs[a]]
+        return p
 
     failures: List[Tuple[int, int, CyclotomicValue]] = []
-    for p in np.nonzero(~ok_plain)[0]:
-        a, b = int(ia[p]), int(ib[p])
-        coords = sorted(set(hard[a]) | set(hard[b]))
-        Lp = L
-        for c in coords:
-            Lp = lcm(Lp, vecs[a][c].conductor, vecs[b][c].conductor)
+    for a, b in zip(*np.nonzero(np.triu(marked | marked.T))):
+        a, b = int(a), int(b)
+        pa, pb = parts(a), parts(b)
+        L = lcm(*(m for m, _ in pa), *(m for m, _ in pb))
         acc: Dict[int, Rat] = {}
-        s0 = Lp // L
-        for j in range(L):
-            if R[p, j]:
-                acc[j * s0 % Lp] = acc.get(j * s0 % Lp, 0) + int(R[p, j])
-        for c in coords:
-            va, vb = vecs[a][c], vecs[b][c]
-            sa, sb = Lp // va.conductor, Lp // vb.conductor
-            w = weights[c]
-            tb = vb.terms()
-            for j1, c1 in va.terms().items():
-                for j2, c2 in tb.items():
-                    key = (j1 * sa - j2 * sb) % Lp
+        for w, (ma, ta), (mb, tb) in zip(weights, pa, pb):
+            sa, sb = L // ma, L // mb
+            for j1, c1 in ta:
+                for j2, c2 in tb:
+                    key = (j1 * sa - j2 * sb) % L
                     acc[key] = acc.get(key, 0) + w * c1 * c2
-        got = CyclotomicValue(Lp, acc)
+        got = CyclotomicValue(L, acc)
         if got != (diag[a] if a == b else 0):
             failures.append((a, b, got))
     return failures
 
 
 def verify_orthogonality(T: CharacterTable) -> OrthogonalityReport:
-    """Exact first (row) and second (column) orthogonality relations."""
-    k = T.num_chars
-    order = T.group.order
-    sizes = T.classes.sizes
-    row_fail = _hermitian_pair_failures(T.rows, sizes, [order] * k)
-    columns = [[T.rows[r][c] for r in range(k)] for c in range(T.classes.num_classes)]
-    col_fail = _hermitian_pair_failures(columns, [1] * k, [order // s for s in sizes])
+    """Exact first (row) and second (column) orthogonality relations.
+
+    The relations are checked in F_q for primes q = 1 (mod e), e the
+    exponent, which split completely in Z[zeta_e] (Washington, GTM 83,
+    ch. 2).  Each distinct value is embedded once by zeta_m -> omega^(e/m),
+    omega a primitive e-th root of unity mod q; gathered by value id, the
+    images of the values and of their conjugates form k x k matrices X and
+    Xc, and the relations read X diag(|K_c|) Xc^T = |G| I and
+    X^T Xc = diag(|C_G(g_c)|) mod q.
+
+    A sum that vanishes mod q under every embedding zeta_e -> omega^t, t a
+    unit, lies in q Z[zeta_e], so its norm is a multiple of q^phi(e);
+    primes are taken until their product exceeds a bound on every complex
+    absolute value of every sum, which forces such a sum to be 0.  When the
+    Galois twists sigma_t permute the rows, the one embedding stands for all
+    of them: sigma_t maps the row sum x_ab to x_(pi_t a, pi_t b) and fixes
+    every column sum, so a row pair that fails mod some q marks its Galois
+    orbit of pairs.  Otherwise every embedding is checked.  Only marked
+    pairs are summed exactly, so the report lists exactly the pairs whose
+    sums are wrong, with those sums.  Every pair is summed exactly when a
+    value has a fractional coefficient or a conductor that does not divide e.
+    """
+    k, order, sizes = T.num_chars, T.group.order, T.classes.sizes
+    marks = _modular_marks(T)
+    if marks is None:
+        marks = (np.ones((k, k), dtype=bool),) * 2
+    row_fail = _exact_failures(T.rows, sizes, [order] * k, marks[0])
+    col_fail = _exact_failures(list(zip(*T.rows)), [1] * k, [order // s for s in sizes], marks[1])
     return OrthogonalityReport(
         ok=not row_fail and not col_fail,
         row_failures=tuple(row_fail),
@@ -590,17 +669,7 @@ def galois_conjugate(T: CharacterTable, char: int, t: int) -> int:
         raise InputError(f"galois exponent {t} is not a unit mod the exponent {T.exponent}")
     # Every conductor divides the exponent, so t mod the exponent fixes the
     # twist of every value.
-    t %= T.exponent
-    images = T.galois_images.setdefault(t, {})
-    target = []
-    for v in T.rows[char]:
-        w = images.get(v)
-        if w is None:
-            if T.exponent % v.conductor:
-                raise EngineInvariantError("value conductors must divide the exponent")
-            w = images[v] = v.galois(t % v.conductor) if v.conductor > 1 else v
-        target.append(w)
-    r = T.row_lookup.get(tuple(target))
+    r = T.row_lookup.get(tuple(_twists(T, T.rows[char], t % T.exponent)))
     if r is None:
         raise EngineInvariantError("a Galois twist of an irreducible row must be in the table")
     return r

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, EngineInvariantError, InputError
-from .number_theory import divisors, euler_phi, factorize, fixing_unit_generators, prime_divisors
+from .number_theory import divisors, euler_phi, fixing_unit_generators, prime_divisors
 
 Rat = Union[int, Fraction]
 
@@ -74,41 +74,10 @@ def reduction_rows(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _crt_layout(m: int) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
-    """Prime powers q_i = p_i^e_i of m and the exponents j with zeta_m^j = prod zeta_{q_i}^{a_i}.
-
-    The exponents are listed over all tuples (a_i) in C order, where
-    zeta_{q_i} = zeta_m^(m/q_i), so j = sum a_i * m/q_i mod m.
-    """
-    parts = tuple(sorted(factorize(m).items()))
-    sizes = tuple(p**e for p, e in parts)
-    grid = np.indices(sizes).reshape(len(sizes), -1)
-    order = sum(a * (m // q) for a, q in zip(grid, sizes)) % m
-    order.setflags(write=False)
-    return order, parts
-
-
-def exponent_counts_to_coordinates(counts: np.ndarray, m: int) -> np.ndarray:
-    """Coordinates of each row sum_j counts[r, j] * zeta_m^j over a Q-basis.
-
-    The basis is the product of the power bases of Q(zeta_q) over the prime
-    powers q = p^e exactly dividing m, a basis of Q(zeta_m) since those
-    fields are linearly disjoint.  Its first element is 1: a row is rational
-    exactly when all columns but column 0 vanish.  Each factor reduces in
-    linear time: with b = p^(e-1), Phi_q(z) = sum_{i<p} z^(i*b) gives
-    z^((p-1)*b + s) = -sum_{i<p-1} z^(i*b + s) for 0 <= s < b.
-    """
-    if m == 1:
-        return np.array(counts, dtype=np.int64)
-    order, parts = _crt_layout(m)
-    n = counts.shape[0]
-    T = counts[:, order].reshape((n,) + tuple(p**e for p, e in parts))
-    for p, e in parts:
-        b = p ** (e - 1)
-        T = np.moveaxis(T, 1, -1)
-        low = T[..., : (p - 1) * b].reshape(T.shape[:-1] + (p - 1, b))
-        T = (low - T[..., None, (p - 1) * b:]).reshape(T.shape[:-1] + ((p - 1) * b,))
-    return T.reshape(n, -1)
+def _int64_limit(m: int) -> int:
+    """Largest coefficient l1 norm whose products with ``reduction_rows(m)``,
+    partial sums included, stay inside int64."""
+    return (2**63 - 1) // max(1, int(np.abs(reduction_rows(m)).max()))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +153,8 @@ def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
     """Coordinates of sum(c * zeta_m^j) over the conductor-m power basis."""
     phi = euler_phi(m)
     R = reduction_rows(m)
-    if all(isinstance(c, int) for c in terms.values()) and R.dtype == np.int64:
+    if (R.dtype == np.int64 and all(isinstance(c, int) for c in terms.values())
+            and sum(map(abs, terms.values())) <= _int64_limit(m)):
         v = np.zeros(phi, dtype=np.int64)
         for j, c in terms.items():
             v += c * R[j]
@@ -201,7 +171,7 @@ def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
 def _apply_sigma(v: List[Rat], m: int, t: int) -> List[Rat]:
     M = _sigma_matrix(m, t)
     phi = len(v)
-    if M.dtype == np.int64 and all(type(c) is int for c in v):
+    if M.dtype == np.int64 and all(type(c) is int for c in v) and sum(map(abs, v)) <= _int64_limit(m):
         return (np.asarray(v, dtype=np.int64) @ M).tolist()
     out: List[Rat] = [Fraction(0)] * phi
     for j, c in enumerate(v):

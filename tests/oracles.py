@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import FrozenSet, List
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from acdlab.chartab import CharacterTable, galois_conjugate
+from acdlab.cyclotomic import CyclotomicValue
 from acdlab.group import FiniteGroup, SubgroupHandle, power_map
 from acdlab.number_theory import unit_group_generators
 
@@ -161,9 +162,44 @@ def galois_cross_check(G: FiniteGroup, T: CharacterTable, all_units: bool = Fals
         ts = sorted(set(unit_group_generators(e)) | {e - 1 if e > 1 else 1})
     for t in ts:
         pm = power_map(G, C, t)
+        twisted = {}  # each distinct value's image under sigma_t, computed once
         for r in range(T.num_chars):
             r2 = galois_conjugate(T, r, t)
             for c in range(C.num_classes):
-                v = T.value(r2, c)
-                assert v == T.value(r, c).galois(t)
+                v, w = T.value(r2, c), T.value(r, c)
+                image = twisted.get(w)
+                if image is None:
+                    image = twisted[w] = w.galois(t)
+                assert v == image
                 assert v == T.value(r, pm[c])
+
+
+Failures = List[Tuple[int, int, CyclotomicValue]]
+
+
+def orthogonality_failures(T: CharacterTable) -> Tuple[Failures, Failures]:
+    """Both orthogonality relations summed from their definition.
+
+    A row pair a <= b must give sum_c |K_c| chi_a(c) conj(chi_b(c)) = |G| delta_ab,
+    and a column pair c <= d must give sum_r chi_r(c) conj(chi_r(d)) =
+    |C_G(g_c)| delta_cd.  Returns the failing (a, b, sum) triples of the
+    rows and of the columns, pairs in row-major order, each sum accumulated
+    term by term in CyclotomicValue arithmetic.
+    """
+    k, order, sizes = T.num_chars, T.group.order, T.classes.sizes
+
+    def failures(vecs: Sequence[Sequence[CyclotomicValue]], weights: Sequence[int],
+                 diag: Sequence[int]) -> Failures:
+        out = []
+        for a in range(k):
+            for b in range(a, k):
+                total = CyclotomicValue.zero()
+                for w, x, y in zip(weights, vecs[a], vecs[b]):
+                    total = total + w * x * y.conjugate()
+                if total != (diag[a] if a == b else 0):
+                    out.append((a, b, total))
+        return out
+
+    columns = [[T.value(r, c) for r in range(k)] for c in range(k)]
+    return (failures(T.rows, sizes, [order] * k),
+            failures(columns, [1] * k, [order // s for s in sizes]))

@@ -9,12 +9,15 @@ ordering beyond "identity class first".
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
 
+from acdlab import chartab
 from acdlab.chartab import (
     character_kernel,
     character_table,
@@ -30,6 +33,7 @@ from acdlab.chartab import (
 from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
 from acdlab.group import conjugacy_classes, element_order, is_normal
+from acdlab.number_theory import is_prime, primitive_root
 from acdlab.specparse import parse_group_spec
 
 
@@ -50,6 +54,24 @@ def class_index(G, C, *, size, order=None):
 
 def rows_as_multiset(T):
     return sorted(tuple(v.sort_key() for v in row) for row in T.rows)
+
+
+def planted(T, changes):
+    """T with the value at each (row, class) key replaced by its function of the old value."""
+    rows = [list(r) for r in T.rows]
+    for (r, c), f in changes.items():
+        rows[r][c] = f(T.value(r, c))
+    return dataclasses.replace(T, rows=tuple(tuple(r) for r in rows))
+
+
+def assert_report_matches_oracle(T):
+    from oracles import orthogonality_failures
+
+    report = verify_orthogonality(T)
+    rows, columns = orthogonality_failures(T)
+    assert list(report.row_failures) == rows
+    assert list(report.column_failures) == columns
+    assert report.ok == (not rows and not columns)
 
 
 w = zeta(3)
@@ -235,28 +257,127 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("text", ["S(4)", "F(7,3)", "Q8"])
     def test_orthogonality_detects_corruption(self, cache, text):
         T = cache.table(text)
-        rows = [list(r) for r in T.rows]
-        rows[-1][-1] = rows[-1][-1] + 1
-        bad = dataclasses.replace(T, rows=tuple(tuple(r) for r in rows))
+        bad = planted(T, {(T.num_chars - 1, T.num_chars - 1): lambda v: v + 1})
         report = verify_orthogonality(bad)
         assert not report.ok
         assert report.row_failures or report.column_failures
+        assert_report_matches_oracle(bad)
 
     def test_orthogonality_detects_swapped_value(self, cache):
         T = cache.table("A(5)")
-        rows = [list(r) for r in T.rows]
         # Swap the two golden-ratio entries of one degree-3 row.
         r = T.degrees.index(3)
         c5 = [c for c in range(5) if T.classes.sizes[c] == 12]
-        rows[r][c5[0]], rows[r][c5[1]] = rows[r][c5[1]], rows[r][c5[0]]
-        bad = dataclasses.replace(T, rows=tuple(tuple(r) for r in rows))
+        bad = planted(T, {(r, c5[0]): lambda v: T.value(r, c5[1]),
+                          (r, c5[1]): lambda v: T.value(r, c5[0])})
         assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
 
     @pytest.mark.parametrize("text", fixtures)
     def test_first_column_is_degree(self, cache, text):
         G, T = cache.pair(text)
         for r in range(T.num_chars):
             assert T.value(r, 0) == T.degrees[r]
+
+
+class TestOrthogonalityFaults:
+    """Planted faults, one per path of the check, reported pair for pair as
+    the definition-level oracle sums them."""
+
+    def test_rational_table_on_the_modular_path(self, cache):
+        bad = planted(cache.table("S(4)"), {(1, 1): lambda v: v + 1})
+        assert chartab._modular_marks(bad) is not None
+        assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
+
+    def test_closed_fault_found_by_orbit_marking(self, cache, monkeypatch):
+        # In C(5), row r != 0 takes zeta_5^i_r at class 1; adding
+        # sigma_i_r(delta) there keeps the rows Galois-closed.  delta lies in
+        # the primes above q for zeta -> omega and zeta -> omega^-1, so the
+        # wrong sums sigma_-+1(delta) of the pairs {0, r} with i_r = +-1
+        # vanish mod q in both orders; only the orbits of the pairs with
+        # i_r = +-2, which fail mod q, mark them.  The check is held to
+        # that one prime, so no second prime can catch them instead.
+        T = cache.table("C(5)")
+        q = chartab._split_primes(5, 5, 1)[0]
+        omega = pow(primitive_root(q), (q - 1) // 5, q)
+        delta = (zeta(5) - omega) * (zeta(5) - pow(omega, 4, q))
+        exps = {r: next(i for i in range(1, 5) if T.value(r, 1) == zeta(5, i)) for r in range(1, 5)}
+        bad = planted(T, {(r, 1): (lambda v, i=i: v + delta.galois(i)) for r, i in exps.items()})
+        monkeypatch.setattr(chartab, "_split_primes", lambda e, k, bound: [q])
+        assert chartab._galois_permutations(bad) is not None
+        failing = {(a, b) for a, b, _ in verify_orthogonality(bad).row_failures}
+        assert {(0, r) for r in exps} <= failing
+        assert_report_matches_oracle(bad)
+
+    def test_fault_that_breaks_galois_closure(self, cache):
+        T = cache.table("F(7,3)")
+        r, c = next((r, c) for r in range(5) for c in range(5) if not T.value(r, c).is_rational())
+        bad = planted(T, {(r, c): lambda v: v + 1})
+        assert chartab._galois_permutations(bad) is None
+        assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
+
+    def test_fractional_coefficient(self, cache):
+        bad = planted(cache.table("A(4)"), {(1, 1): lambda v: v + Fraction(1, 2)})
+        assert chartab._modular_marks(bad) is None
+        assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
+
+    def test_conductor_outside_the_exponent(self, cache):
+        bad = planted(cache.table("S(4)"), {(1, 1): lambda v: zeta(7)})
+        assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
+
+    def test_conductor_outside_the_exponent_under_python_O(self):
+        # The planted zeta_7 must give a failing report, not an exception,
+        # with asserts stripped too.
+        code = (
+            "import dataclasses\n"
+            "from acdlab.chartab import character_table, verify_orthogonality\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.cyclotomic import zeta\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "T = character_table(build(parse_group_spec('S(4)')))\n"
+            "rows = [list(r) for r in T.rows]\n"
+            "rows[1][1] = zeta(7)\n"
+            "bad = dataclasses.replace(T, rows=tuple(map(tuple, rows)))\n"
+            "print(verify_orthogonality(bad).ok)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_cyclic_400_in_bounded_memory(self):
+        # The check keeps O(k^2) arrays per prime: C(400), k = 400, stays
+        # far below the 300 MB a pairs x conductor array would pass.
+        code = (
+            "import resource\n"
+            "from acdlab.chartab import character_table, verify_orthogonality\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "report = verify_orthogonality(character_table(build(parse_group_spec('C(400)'))))\n"
+            "print(report.ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        ok, peak_kb = proc.stdout.split()
+        assert ok == "True"
+        assert int(peak_kb) < 300 * 1024
+
+    def test_split_primes(self):
+        for e, k, bound in ((12, 5, 10**6), (620, 125, 10**20), (1, 1, 7), (20000, 400, 10**9)):
+            primes = chartab._split_primes(e, k, bound)
+            assert prod(primes) > bound
+            assert all(is_prime(q) and (q - 1) % e == 0 and k * (q - 1) ** 2 < 2**53 for q in primes)
+
+    def test_product_mod_in_slices(self):
+        q = chartab._split_primes(1, 4, 1)[0]  # k = 4: products are summed four terms at a time
+        rng = np.random.default_rng(3)
+        A = rng.integers(0, q, size=(3, 10))
+        B = rng.integers(0, q, size=(4, 10))
+        want = [[sum(int(x) * int(y) for x, y in zip(a, b)) % q for b in B] for a in A]
+        assert chartab._product_mod(A, B, q).tolist() == want
 
 
 class TestGaloisAction:

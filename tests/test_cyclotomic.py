@@ -14,13 +14,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import numpy as np
 
 from acdlab.cyclotomic import (
     CyclotomicValue,
     _polydiv_exact,
     cyclotomic_poly,
-    exponent_counts_to_coordinates,
     zeta,
 )
 from acdlab.errors import DomainError, EngineInvariantError, InputError
@@ -237,35 +235,22 @@ class TestInputValidation:
         assert len(set(keys)) == len(keys)
 
 
-class TestExponentCounts:
-    """Rows of exponent counts reduced to coordinates, against CyclotomicValue."""
+class TestLargeCoefficients:
+    """Coefficients past int64 take exact Python arithmetic, not a wrapped or failed int64 one."""
 
-    @given(
-        st.sampled_from([1, 2, 3, 4, 8, 9, 12, 15, 20, 35, 36, 60, 105]),
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=104), st.integers(min_value=-4, max_value=4)),
-            max_size=6,
-        ),
-        st.integers(min_value=-3, max_value=3),
-    )
-    @settings(max_examples=150)
-    def test_rational_part_and_zero(self, m, pairs, full):
-        counts = np.full(m, full, dtype=np.int64)  # full * (sum of all m-th roots)
-        for j, c in pairs:
-            counts[j % m] += c
-        coords = exponent_counts_to_coordinates(counts[None, :], m)[0]
-        v = CyclotomicValue(m, {j: int(c) for j, c in enumerate(counts) if c})
-        assert (not coords[1:].any()) == v.is_rational()
-        assert (not coords.any()) == v.is_zero()
-        if v.is_rational():
-            assert v == int(coords[0])
+    def test_sums_past_int64(self):
+        big = 2**62
+        # zeta_5^4 = -1 - z - z^2 - z^3, so the constant coordinate is 2^63.
+        x = CyclotomicValue(5, {4: -big, 0: big})
+        assert x.coeffs == (2 * big, big, big, big)
+        assert numeric(x / big) == pytest.approx(numeric(CyclotomicValue(5, {4: -1, 0: 1})))
 
-    def test_full_root_sums_vanish(self):
-        for m in (2, 6, 12, 30, 105, 2485):
-            for d in (x for x in range(2, m + 1) if m % x == 0):
-                counts = np.zeros((1, m), dtype=np.int64)
-                counts[0, :: m // d] = 1
-                assert not exponent_counts_to_coordinates(counts, m).any(), (m, d)
+    def test_coefficients_past_int64(self):
+        huge = 2**70
+        x = CyclotomicValue(5, {0: huge, 1: 1})
+        assert x.coeffs == (huge, 1, 0, 0)
+        assert x.galois(2) == CyclotomicValue(5, {0: huge, 2: 1})
+        assert (x * x.conjugate()) - huge * huge == huge * (zeta(5) + zeta(5, 4)) + 1
 
 
 class TestEngineInvariants:
