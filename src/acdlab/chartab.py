@@ -82,13 +82,6 @@ def class_matrix(G: FiniteGroup, C: ClassData, i: int) -> np.ndarray:
     return N
 
 
-def class_coefficients(G: FiniteGroup, C: Optional[ClassData] = None) -> np.ndarray:
-    """Full class-algebra structure-constant table a[i, j, k]."""
-    if C is None:
-        C = conjugacy_classes(G)
-    return np.stack([class_matrix(G, C, i) for i in range(C.num_classes)])
-
-
 def linear_characters(G: FiniteGroup, C: ClassData, e: int) -> np.ndarray:
     """Exponent rows J of the linear characters: lambda(g_c) = zeta_e^J[lambda, c].
 
@@ -305,9 +298,20 @@ class CharacterTable:
         return self.rows[char][cls]
 
     @cached_property
-    def row_lookup(self) -> Dict[Tuple[CyclotomicValue, ...], int]:
-        """Row index of each value row."""
-        return {row: r for r, row in enumerate(self.rows)}
+    def value_ids(self) -> Tuple[Tuple[CyclotomicValue, ...], np.ndarray]:
+        """The distinct values in first-seen order, and per cell its value's position there.
+
+        The per-row data, the kernels, the Galois maps, the modular
+        orthogonality marks and the JSON writer all read this view.  A table
+        holds far fewer value objects than cells, so cells are grouped by
+        object identity first, and only one cell per object is hashed by value.
+        """
+        cells = list(chain.from_iterable(self.rows))
+        objects = dict(zip(map(id, cells), cells))
+        ids: Dict[CyclotomicValue, int] = {}
+        of_object = {i: ids.setdefault(v, len(ids)) for i, v in objects.items()}
+        V = np.fromiter(map(of_object.__getitem__, map(id, cells)), dtype=np.intp, count=len(cells))
+        return tuple(ids), V.reshape(len(self.rows), -1)
 
     @cached_property
     def row_conductors(self) -> Tuple[int, ...]:
@@ -316,12 +320,9 @@ class CharacterTable:
         Values sit at their minimal conductor, so a row has its values in
         Q(zeta_n) exactly when its entry here divides n.
         """
-        return tuple(lcm(*(v.conductor for v in row)) for row in self.rows)
-
-    @cached_property
-    def value_ids(self) -> Tuple[Tuple[CyclotomicValue, ...], np.ndarray]:
-        """The distinct values in first-seen order, and per cell its value's position there."""
-        return _value_ids(self.rows)
+        distinct, V = self.value_ids
+        conductors = np.array([v.conductor for v in distinct], dtype=np.int64)
+        return tuple(np.lcm.reduce(conductors[V], axis=1).tolist())
 
     @cached_property
     def real_rows(self) -> Tuple[bool, ...]:
@@ -341,25 +342,10 @@ class CharacterTable:
         return tuple(tuple(np.flatnonzero(row == row[0]).tolist()) for row in V)
 
     @cached_property
-    def galois_images(self) -> Dict[int, Dict[CyclotomicValue, CyclotomicValue]]:
-        """Per unit t mod the exponent, the images under zeta -> zeta^t of
-        the values twisted so far; ``galois_conjugate`` fills it."""
+    def galois_maps(self) -> Dict[int, np.ndarray]:
+        """Per unit t mod the exponent, the rows' images under zeta -> zeta^t
+        as row indices; ``_galois_map`` fills it."""
         return {}
-
-
-def _value_ids(rows: Sequence[Sequence[CyclotomicValue]]
-               ) -> Tuple[Tuple[CyclotomicValue, ...], np.ndarray]:
-    """The distinct values of rows in first-seen order, and per cell its value's position there.
-
-    A table holds far fewer value objects than cells, so cells are grouped
-    by object identity first, and only one cell per object is hashed by value.
-    """
-    cells = list(chain.from_iterable(rows))
-    objects = dict(zip(map(id, cells), cells))
-    ids: Dict[CyclotomicValue, int] = {}
-    of_object = {i: ids.setdefault(v, len(ids)) for i, v in objects.items()}
-    V = np.fromiter(map(of_object.__getitem__, map(id, cells)), dtype=np.intp, count=len(cells))
-    return tuple(ids), V.reshape(len(rows), -1)
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
@@ -371,16 +357,19 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     n_lin = len(mt.linear)
     nonlinear = range(n_lin, k)
     nonlinear_degrees = np.asarray(mt.degrees[n_lin:], dtype=np.int64)
-    # Linear cells are roots of unity zeta_e^j: one value per exponent j.
-    roots = np.empty(e, dtype=object)
-    for j in set(mt.linear.ravel().tolist()):
-        roots[j] = CyclotomicValue(e, {j: 1})
-    values: List[List[Optional[CyclotomicValue]]] = roots[mt.linear].tolist()
-    values += [[None] * k for _ in nonlinear]
+    # Cells hold value ids: ``values`` maps each distinct value to its id, in
+    # id order.  Linear cells are roots of unity zeta_e^j: one value per
+    # exponent j present.
+    exps = np.flatnonzero(np.bincount(mt.linear.ravel(), minlength=e))
+    slot = np.zeros(e, dtype=np.intp)
+    slot[exps] = np.arange(len(exps))
+    values = {CyclotomicValue(e, {int(j): 1}): i for i, j in enumerate(exps)}
+    ids = np.empty((k, k), dtype=np.intp)
+    ids[:n_lin] = slot[mt.linear]
     transform_memo: Dict[int, np.ndarray] = {}
     # The multiplicity vector at conductor m determines the value, and a
     # table has far fewer distinct values than cells: canonicalise each once.
-    value_memo: Dict[Tuple[int, bytes], CyclotomicValue] = {}
+    value_memo: Dict[Tuple[int, bytes], int] = {}
 
     for c in range(k if nonlinear else 0):  # an abelian table has nothing to lift
         g = C.reps[c]
@@ -400,23 +389,23 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         MV = ((V @ Wm) % q * pow(m, -1, q)) % q
         if not np.array_equal(MV.sum(axis=1), nonlinear_degrees):
             raise EngineInvariantError("multiplicities must sum to the degree")
-        for r, mults in zip(nonlinear, MV):
+        column = []
+        for mults in MV:
             key = (m, mults.tobytes())
-            val = value_memo.get(key)
-            if val is None:
-                val = value_memo[key] = CyclotomicValue(
-                    m, {int(j): int(mults[j]) for j in np.flatnonzero(mults)})
-            values[r][c] = val
+            i = value_memo.get(key)
+            if i is None:
+                val = CyclotomicValue(m, {int(j): int(mults[j]) for j in np.flatnonzero(mults)})
+                i = value_memo[key] = values.setdefault(val, len(values))
+            column.append(i)
+        ids[n_lin:, c] = column
 
-    rows = [tuple(row) for row in values]
     trivial = np.flatnonzero(~mt.linear.any(axis=1)).tolist()
     if len(trivial) != 1:
         raise EngineInvariantError("exactly one trivial character")
     # Sort the rows by degree, then by their values' sort keys column by
     # column: rank the distinct values once (equal keys, equal ranks) and
     # sort the rank rows; np.lexsort is stable and takes its last key first.
-    distinct, ids = _value_ids(rows)
-    keys = [v.sort_key() for v in distinct]
+    keys = [v.sort_key() for v in values]
     by_key = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(keys)
     for prev, cur in zip(by_key, by_key[1:]):
@@ -427,12 +416,13 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     degrees = tuple(mt.degrees[r] for r in perm)
     if not all(G.order % d == 0 for d in degrees):
         raise EngineInvariantError("degrees must divide the group order")
+    objects = np.fromiter(values, dtype=object, count=len(values))
     return CharacterTable(
         group=G,
         classes=C,
         exponent=e,
         degrees=degrees,
-        rows=tuple(rows[r] for r in perm),
+        rows=tuple(map(tuple, objects[ids[perm]].tolist())),
     )
 
 
@@ -446,18 +436,25 @@ class OrthogonalityReport:
     column_failures: Tuple[Tuple[int, int, CyclotomicValue], ...]
 
 
-def _twists(T: CharacterTable, values: Sequence[CyclotomicValue], t: int) -> List[CyclotomicValue]:
-    """Images of values under zeta -> zeta^t, for a unit t reduced mod the
-    exponent; each value is twisted once per table and unit (``galois_images``)."""
-    images = T.galois_images.setdefault(t, {})
-    out = []
-    for v in values:
-        w = images.get(v)
-        if w is None:
-            if T.exponent % v.conductor:
-                raise EngineInvariantError("value conductors must divide the exponent")
-            w = images[v] = v.galois(t % v.conductor) if v.conductor > 1 else v
-        out.append(w)
+def _galois_map(T: CharacterTable, t: int) -> np.ndarray:
+    """Per row r, the index of the row sigma_t(row r) under zeta -> zeta^t,
+    t a unit, or -1 where the twisted row is not a row.
+
+    Memoised per table and t mod the exponent (``galois_maps``).  Each
+    distinct value is twisted once; a value whose conductor does not divide
+    the exponent has no twist.  Each twisted row is looked up by the bytes
+    of its value-id row.
+    """
+    e = T.exponent
+    t %= e
+    out = T.galois_maps.get(t)
+    if out is None:
+        distinct, V = T.value_ids
+        position = {v: i for i, v in enumerate(distinct)}
+        twisted = np.array([-1 if e % v.conductor else position.get(v.galois(t % v.conductor), -1)
+                            for v in distinct], dtype=V.dtype)
+        lookup = {row.tobytes(): r for r, row in enumerate(V)}
+        out = T.galois_maps[t] = np.array([lookup.get(row.tobytes(), -1) for row in twisted[V]])
     return out
 
 
@@ -465,26 +462,15 @@ def _galois_permutations(T: CharacterTable) -> Optional[List[np.ndarray]]:
     """Per t among the generators of the units mod the exponent and t = -1,
     the permutation pi_t with sigma_t(row r) = row pi_t(r).
 
-    None when two rows are equal or a twisted row is not a row.  Each
-    distinct value is twisted once, and each twisted row is looked up by the
-    bytes of its value-id row.
+    None when two rows are equal or a twisted row is not a row.
     """
     e = T.exponent
-    distinct, V = T.value_ids
-    lookup = {row.tobytes(): r for r, row in enumerate(V)}
-    if len(lookup) != len(V):
+    V = T.value_ids[1]
+    if len({row.tobytes() for row in V}) != len(V):
         return None
-    position = {v: i for i, v in enumerate(distinct)}
-    perms = []
-    for t in sorted(set(unit_group_generators(e)) | {e - 1}) if e > 2 else ():
-        ids = np.array([position.get(w, -1) for w in _twists(T, distinct, t)], dtype=V.dtype)
-        if (ids < 0).any():
-            return None
-        perm = [lookup.get(row.tobytes(), -1) for row in ids[V]]
-        if -1 in perm:
-            return None
-        perms.append(np.asarray(perm))
-    return perms
+    ts = sorted(set(unit_group_generators(e)) | {e - 1}) if e > 2 else ()
+    perms = [_galois_map(T, t) for t in ts]
+    return None if any((p < 0).any() for p in perms) else perms
 
 
 def _split_primes(e: int, k: int, bound: int) -> List[int]:
@@ -657,20 +643,26 @@ def verify_orthogonality(T: CharacterTable) -> OrthogonalityReport:
 # -- derived data ------------------------------------------------------------
 
 
+def check_row(T: CharacterTable, char: int) -> None:
+    """Raise ``InputError`` unless char is a row index of the table."""
+    if not 0 <= char < T.num_chars:
+        raise InputError(f"character row {char} is outside [0, {T.num_chars})")
+
+
 def character_kernel(T: CharacterTable, char: int) -> SubgroupHandle:
     """Elements where the character takes its degree value."""
+    check_row(T, char)
     members = T.classes.members
     return SubgroupHandle(T.group, [x for c in T.kernel_classes[char] for x in members[c]])
 
 
 def galois_conjugate(T: CharacterTable, char: int, t: int) -> int:
     """Row index of the Galois twist zeta -> zeta^t of a character row."""
+    check_row(T, char)
     if gcd(t, T.exponent) != 1:
         raise InputError(f"galois exponent {t} is not a unit mod the exponent {T.exponent}")
-    # Every conductor divides the exponent, so t mod the exponent fixes the
-    # twist of every value.
-    r = T.row_lookup.get(tuple(_twists(T, T.rows[char], t % T.exponent)))
-    if r is None:
+    r = int(_galois_map(T, t)[char])
+    if r < 0:
         raise EngineInvariantError("a Galois twist of an irreducible row must be in the table")
     return r
 
@@ -700,17 +692,12 @@ def table_to_json(T: CharacterTable) -> str:
     """``table_to_json_dict`` as compact JSON with sorted keys.
 
     A table has far fewer distinct values than cells, so each distinct value
-    is encoded once and its text reused.  ``"values"`` sorts after every
-    header key, so the rows go at the end of the encoded header.
+    is encoded once and the rows join those texts by value id.  ``"values"``
+    sorts after every header key, so the rows go at the end of the encoded
+    header.
     """
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    memo: Dict[CyclotomicValue, str] = {}
-
-    def fragment(v: CyclotomicValue) -> str:
-        text = memo.get(v)
-        if text is None:
-            text = memo[v] = encode(v.to_json_dict())
-        return text
-
-    rows = ",".join("[" + ",".join(map(fragment, row)) + "]" for row in T.rows)
-    return encode(_table_header(T))[:-1] + ',"values":[' + rows + "]}"
+    distinct, V = T.value_ids
+    fragments = np.array([encode(v.to_json_dict()) for v in distinct], dtype=object)
+    rows = "],[".join(map(",".join, fragments[V].tolist()))
+    return encode(_table_header(T))[:-1] + ',"values":[[' + rows + "]]}"

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .chartab import CharacterTable, character_kernel
+from .chartab import CharacterTable, character_kernel, check_row
 from .errors import InputError
 from .group import FiniteGroup, SubgroupHandle
 from .number_theory import is_prime
@@ -105,17 +105,12 @@ def has_values_in(T: CharacterTable, char: int, k: FieldSpec) -> bool:
     row's conductor lcm (``T.row_conductors``), and R membership is
     invariance of every value under conjugation (``T.real_rows``).
     """
+    check_row(T, char)
     if k.variant == "complexes":
         return True
     if k.variant == "reals":
         return T.real_rows[char]
     return k.m % T.row_conductors[char] == 0
-
-
-def value_conductor(T: CharacterTable, char: int) -> int:
-    """Conductor of the field of values of a row: the smallest n with all
-    its values in Q(zeta_n), read from ``T.row_conductors``."""
-    return T.row_conductors[char]
 
 
 def irr_subset(T: CharacterTable, k: FieldSpec, p: Optional[int] = None) -> List[int]:

@@ -48,10 +48,8 @@ def selected_rows(G: FiniteGroup, T: CharacterTable, query: Optional[AcdQuery] =
             raise InputError("quotient subgroup belongs to a different group")
         if not is_normal(G, N):
             raise InputError("quotient subgroup must be normal")
-        kernel_classes = sorted({T.classes.class_of[i] for i in N.indices})
-        rows = [
-            r for r in rows if all(T.rows[r][c] == T.degrees[r] for c in kernel_classes)
-        ]
+        classes = {T.classes.class_of[i] for i in N.indices}
+        rows = [r for r in rows if classes.issubset(T.kernel_classes[r])]
     return rows
 
 

@@ -23,7 +23,7 @@ from acdlab.audit import (
     _rows_for_spec,
 )
 from acdlab.chartab import character_table, table_to_json
-from acdlab.constructions import build
+from acdlab.constructions import FieldSemidirect, build, default_catalog, to_text
 from acdlab.errors import EngineInvariantError, InputError
 from acdlab.group import FiniteGroup
 from acdlab.specparse import parse_group_spec
@@ -322,13 +322,41 @@ class TestCliStats:
 class TestCliAudit:
     def test_catalog_file(self, capsys, tmp_path):
         cat = tmp_path / "cat.txt"
-        cat.write_text("D(14)\n# a comment\n\n  C(6)\n")
+        cat.write_text("D(14)\n# a comment\n\n  C(6)\nS(4)\n")
         rc, out, err = run_cli(capsys, "audit", "first", "--catalog", str(cat))
         assert rc == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 2
-        specs = [json.loads(l)["spec"] for l in lines]
-        assert specs == ["C(6)", "D(14)"]
+        assert len(lines) == 3
+        rows = [json.loads(l) for l in lines]
+        assert [r["spec"] for r in rows] == ["C(6)", "D(14)", "S(4)"]
+        assert {r["statement"] for r in rows} == {"first"}
+
+    @staticmethod
+    def small_module_catalog(tmp_path):
+        """The catalog's SD(p,a,d) with d > 1 and p^a <= 9, one per line."""
+        specs = [to_text(s) for s in default_catalog()
+                 if isinstance(s, FieldSemidirect) and s.d > 1 and s.p**s.a <= 9]
+        assert len(specs) > 5
+        cat = tmp_path / "cat.txt"
+        cat.write_text("\n".join(specs) + "\n")
+        return specs, cat
+
+    def test_abelian3_matches_closed_form(self, capsys, tmp_path):
+        specs, cat = self.small_module_catalog(tmp_path)
+        rc, out, _ = run_cli(capsys, "audit", "abelian-3", "--catalog", str(cat))
+        assert rc == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {r["spec"] for r in rows} == set(specs)
+        assert all(r["verdict"] == "consistent" for r in rows)
+
+    def test_abelian3_mismatch_is_a_counterexample(self, capsys, monkeypatch, tmp_path):
+        _, cat = self.small_module_catalog(tmp_path)
+        real = audit_mod.abelian3_formula
+        monkeypatch.setattr(audit_mod, "abelian3_formula", lambda *a: real(*a) + 1)
+        rc, out, _ = run_cli(capsys, "audit", "abelian-3", "--catalog", str(cat))
+        assert rc == 2
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows and all(r["verdict"] == COUNTEREXAMPLE for r in rows)
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         cat = tmp_path / "cat.txt"

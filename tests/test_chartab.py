@@ -22,7 +22,6 @@ from acdlab.chartab import (
     character_kernel,
     character_table,
     choose_conductor_prime,
-    class_coefficients,
     class_matrix,
     compute_mod_table,
     galois_conjugate,
@@ -32,6 +31,7 @@ from acdlab.chartab import (
 )
 from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
+from acdlab.fieldvals import FieldSpec, has_values_in
 from acdlab.group import conjugacy_classes, element_order, is_normal
 from acdlab.number_theory import is_prime, primitive_root
 from acdlab.specparse import parse_group_spec
@@ -318,6 +318,13 @@ class TestOrthogonalityFaults:
         assert not verify_orthogonality(bad).ok
         assert_report_matches_oracle(bad)
 
+    def test_equal_rows(self, cache):
+        T = cache.table("F(7,3)")
+        bad = dataclasses.replace(T, rows=T.rows[:2] + T.rows[1:2] + T.rows[3:])
+        assert chartab._galois_permutations(bad) is None
+        assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
+
     def test_fractional_coefficient(self, cache):
         bad = planted(cache.table("A(4)"), {(1, 1): lambda v: v + Fraction(1, 2)})
         assert chartab._modular_marks(bad) is None
@@ -399,6 +406,21 @@ class TestGaloisAction:
         T = cache.table("S(3)")
         with pytest.raises(InputError):
             galois_conjugate(T, 0, 2)
+
+
+class TestRowIndices:
+    @pytest.mark.parametrize("row", [-1, -3, -4, 3, 5, 9])
+    @pytest.mark.parametrize("read", [
+        lambda T, r: galois_conjugate(T, r, 1),
+        character_kernel,
+        lambda T, r: has_values_in(T, r, FieldSpec.reals()),
+    ], ids=["galois_conjugate", "character_kernel", "has_values_in"])
+    def test_rejects_row_outside_table(self, cache, read, row):
+        from acdlab.errors import InputError
+
+        T = cache.table("S(3)")
+        with pytest.raises(InputError, match="outside"):
+            read(T, row)
 
 
 class TestDegreesDivideComplementOrder:
@@ -605,6 +627,46 @@ class TestDistinctValueWork:
         assert T.real_rows == (True, True, False)
 
 
+class TestReplacedTable:
+    """A table replaced with ``dataclasses.replace`` keeps no value data of
+    the table it was made from: every reader sees the new rows."""
+
+    @staticmethod
+    def warm(T):
+        """Fill every cache a reader of T keeps."""
+        verify_orthogonality(T)
+        table_to_json(T)
+        for r in range(T.num_chars):
+            character_kernel(T, r)
+            galois_conjugate(T, r, -1)
+        return T.row_conductors, T.kernel_classes, T.real_rows
+
+    def test_planted_value_is_seen(self, cache):
+        T = cache.table("S(4)")
+        self.warm(T)
+        bad = planted(T, {(1, 1): lambda v: v + 1})
+        assert bad.value(1, 1) != T.value(1, 1)
+        assert not verify_orthogonality(bad).ok
+        assert bad.row_conductors == tuple(lcm(*(v.conductor for v in row)) for row in bad.rows)
+        assert bad.kernel_classes == tuple(tuple(c for c, v in enumerate(row) if v == d)
+                                           for row, d in zip(bad.rows, bad.degrees))
+        assert table_to_json(bad) == TestJsonOutput.dumps_dict(bad) != table_to_json(T)
+
+    def test_planted_value_moves_under_galois(self, cache):
+        # S(4) is rational, so its twists fix every row; F(7,3) is not.
+        from acdlab.errors import EngineInvariantError
+
+        T = cache.table("F(7,3)")
+        self.warm(T)
+        r, c = next((r, c) for r in range(5) for c in range(5) if not T.value(r, c).is_rational())
+        bad = planted(T, {(r, c): lambda v: v + 1})
+        assert galois_conjugate(T, r, -1) != r
+        with pytest.raises(EngineInvariantError):
+            galois_conjugate(bad, r, -1)
+        # zeta -> zeta^4 fixes zeta_3 and every value of F(7,3).
+        assert galois_conjugate(bad, r, 4) == r
+
+
 class TestLinearCharacters:
     """Linear characters read off G/G' against a brute-force oracle, tables
     that need no class matrix, and the checks on the construction."""
@@ -731,8 +793,8 @@ class TestInternals:
     def test_class_coefficients_table(self, cache):
         G, T = cache.pair("S(3)")
         C = T.classes
-        a = class_coefficients(G, C)
         n = C.num_classes
+        a = np.stack([class_matrix(G, C, i) for i in range(n)])
         assert a.shape == (n, n, n)
         # Identity class slice is the identity: e*y lands in y's own class.
         assert (a[0] == np.eye(n, dtype=a.dtype)).all()

@@ -17,7 +17,6 @@ from acdlab.fieldvals import (
     has_values_in,
     irr_subset,
     parse_field,
-    value_conductor,
 )
 from acdlab.group import derived_subgroup, point_stabilizer, subgroup_as_group
 from acdlab.number_theory import prime_divisors
@@ -134,16 +133,16 @@ class TestValueConductor:
     def test_minimality(self, cache, text):
         T = cache.table(text)
         for r in range(T.num_chars):
-            m = value_conductor(T, r)
+            m = T.row_conductors[r]
             assert has_values_in(T, r, zm(m))
             for p in prime_divisors(m):
                 assert not has_values_in(T, r, zm(m // p))
 
     def test_examples(self, cache):
         T = cache.table("S(4)")
-        assert [value_conductor(T, r) for r in range(5)] == [1] * 5
+        assert list(T.row_conductors) == [1] * 5
         T = cache.table("F(7,3)")
-        assert sorted(value_conductor(T, r) for r in range(5)) == [1, 3, 3, 7, 7]
+        assert sorted(T.row_conductors) == [1, 3, 3, 7, 7]
 
 
 class TestIrrSubset:
