@@ -322,12 +322,21 @@ class TestCliStats:
 class TestCliAudit:
     def test_catalog_file(self, capsys, tmp_path):
         cat = tmp_path / "cat.txt"
-        cat.write_text("D(14)\n# a comment\n\n  C(6)\nS(4)\n")
+        cat.write_text("D(14)\n# a comment\n\n  C(6)\n")
         rc, out, err = run_cli(capsys, "audit", "first", "--catalog", str(cat))
         assert rc == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 3
-        rows = [json.loads(l) for l in lines]
+        assert len(lines) == 2
+        specs = [json.loads(l)["spec"] for l in lines]
+        assert specs == ["C(6)", "D(14)"]
+
+    def test_first_on_catalog_file_to_out_file(self, capsys, tmp_path):
+        cat = tmp_path / "catalog.txt"
+        cat.write_text("D(14)\nC(6)\nS(4)\n")
+        out_path = tmp_path / "report.jsonl"
+        rc, _, _ = run_cli(capsys, "audit", "first", "--catalog", str(cat), "--out", str(out_path))
+        assert rc == 0
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [r["spec"] for r in rows] == ["C(6)", "D(14)", "S(4)"]
         assert {r["statement"] for r in rows} == {"first"}
 
