@@ -35,7 +35,7 @@ from .constructions import (
     translation_subgroup,
 )
 from .errors import EngineInvariantError, InputError
-from .fieldvals import FieldSpec, a_k_subgroup, format_field
+from .fieldvals import FieldSpec, format_field
 from .group import (
     SubgroupHandle,
     center,
@@ -47,7 +47,7 @@ from .group import (
     point_stabilizer,
     subgroup_as_group,
 )
-from .number_theory import divisors, is_prime, prime_divisors
+from .number_theory import divisors, euler_phi, is_prime, prime_divisors
 from .specparse import parse_group_spec
 from .stats import AcdQuery, abelian3_formula, acd, bound_f
 
@@ -327,18 +327,25 @@ def _abelian3_fields(p: int, d: int) -> List[FieldSpec]:
     return out
 
 
+def _abelian3_index(d: int, k: FieldSpec) -> int:
+    """|H : A^k(H)| for H cyclic of order d.
+
+    The linear characters of H with values in k form a subgroup of its dual,
+    and their kernels meet in a subgroup of the same index; H has phi(n)
+    characters of order n, each with values in k exactly when zeta_n is.
+    """
+    return sum(euler_phi(n) for n in divisors(d) if k.contains_root_of_unity(n))
+
+
 def _abelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     spec = bundle.spec
     if not isinstance(spec, FieldSemidirect) or spec.d == 1:
         return []
     p, a, d = spec.p, spec.a, spec.d
-    H, _ = subgroup_as_group(bundle.G, point_stabilizer(bundle.G, 0))
-    TH = character_table(H)
     pn = bundle.pnil(p)
     rows = []
     for k in _abelian3_fields(p, d):
-        index = H.order // a_k_subgroup(H, TH, k).order
-        expected = abelian3_formula(p, a, d, index)
+        expected = abelian3_formula(p, a, d, _abelian3_index(d, k))
         got = bundle.acd_value(k, None)
         ok = got == expected
         rows.append(AuditRow(

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import perm as pm
 from .errors import ConstructionError, EngineInvariantError, InputError
 from .group import FiniteGroup, SubgroupHandle, generate_group
 from .number_theory import divisors, is_prime, multiplicative_order
@@ -229,13 +228,6 @@ def _digits(v: int, p: int, a: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _undigits(c: Sequence[int], p: int) -> int:
-    v = 0
-    for x in reversed(c):
-        v = v * p + x
-    return v
-
-
 def _field_modulus(p: int, a: int) -> Tuple[int, ...]:
     """Smallest monic irreducible polynomial of degree a over F_p, by the
     integer code of its coefficient vector."""
@@ -246,66 +238,48 @@ def _field_modulus(p: int, a: int) -> Tuple[int, ...]:
     raise EngineInvariantError(f"no monic irreducible polynomial of degree {a} over F_{p}")
 
 
-def _field_semidirect_group(p: int, a: int, d: int, cap: Optional[int]) -> FiniteGroup:
+def _multiplication_matrix(p: int, a: int, d: int) -> List[Tuple[int, ...]]:
+    """The a x a matrix over F_p of multiplication by an element h of order d
+    in F_{p^a}: column j holds the coefficients of h * x^j mod f."""
     size = p**a
     f = _field_modulus(p, a)
     elems = [_digits(v, p, a) for v in range(size)]
-
-    gens: List[pm.Perm] = []
-    for i in range(a):
-        images = []
-        for c in elems:
-            cc = list(c)
-            cc[i] = (cc[i] + 1) % p
-            images.append(_undigits(cc, p))
-        gens.append(tuple(images))
-
-    if d > 1:
-        mul_order = size - 1
-        g_idx = None
-        for cand in range(2, size):
-            u = elems[cand]
-            order, acc = 1, u
-            while acc != elems[1]:
-                acc = _poly_mul_mod(acc, u, f, p)
-                order += 1
-            if order == mul_order:
-                g_idx = cand
-                break
-        if g_idx is None:
-            raise EngineInvariantError("multiplicative group of a finite field is cyclic")
-        h = elems[1]
-        for _ in range(mul_order // d):
-            h = _poly_mul_mod(h, elems[g_idx], f, p)
-        images = [_undigits(_poly_mul_mod(c, h, f, p), p) for c in elems]
-        gens.append(tuple(images))
-
-    G = generate_group(gens, degree=size, cap=cap)
-    if G.order != d * size:
-        raise EngineInvariantError(f"field semidirect product has order {G.order}, not {d * size}")
-    return G
+    mul_order = size - 1
+    g_idx = None
+    for cand in range(2, size):
+        u = elems[cand]
+        order, acc = 1, u
+        while acc != elems[1]:
+            acc = _poly_mul_mod(acc, u, f, p)
+            order += 1
+        if order == mul_order:
+            g_idx = cand
+            break
+    if g_idx is None:
+        raise EngineInvariantError("multiplicative group of a finite field is cyclic")
+    h = elems[1]
+    for _ in range(mul_order // d):
+        h = _poly_mul_mod(h, elems[g_idx], f, p)
+    return list(zip(*(_poly_mul_mod(elems[p**j], h, f, p) for j in range(a))))
 
 
-def _matrix_semidirect_group(spec: MatrixSemidirect, cap: Optional[int]) -> FiniteGroup:
-    p = spec.p
-    n = len(spec.matrices[0])
-    size = p**n
-    elems = [_digits(v, p, n) for v in range(size)]
-    gens: List[pm.Perm] = []
-    for i in range(n):
-        images = []
-        for c in elems:
-            cc = list(c)
-            cc[i] = (cc[i] + 1) % p
-            images.append(_undigits(cc, p))
-        gens.append(tuple(images))
-    for mat in spec.matrices:
-        images = []
-        for c in elems:
-            w = tuple(sum(mat[i][j] * c[j] for j in range(n)) % p for i in range(n))
-            images.append(_undigits(w, p))
-        gens.append(tuple(images))
-    return generate_group(gens, degree=size, cap=cap)
+def _vectors(p: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The p^n vectors of F_p^n as digit rows (point v has the base-p digits
+    of v, least significant first), and the place values that number them."""
+    digits = np.array([_digits(v, p, n) for v in range(p**n)], dtype=np.int64)
+    return digits.reshape(p**n, n), p ** np.arange(n, dtype=np.int64)
+
+
+def _semidirect_group(p: int, n: int, matrices: Sequence[Sequence[Sequence[int]]],
+                      cap: Optional[int]) -> FiniteGroup:
+    """F_p^n rtimes <matrices> on the p^n vectors: the n unit translations,
+    then one generator per matrix acting on column vectors."""
+    vecs, powers = _vectors(p, n)
+    gens = [(vecs + unit) % p @ powers for unit in np.eye(n, dtype=np.int64)]
+    for mat in matrices:
+        M = np.array([[x % p for x in row] for row in mat], dtype=np.int64)
+        gens.append(vecs @ M.T % p @ powers)
+    return generate_group([g.tolist() for g in gens], degree=p**n, cap=cap)
 
 
 _Q8_I = (2, 3, 1, 0, 7, 6, 4, 5)
@@ -344,9 +318,13 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
             big = tuple([0] + [1 + (i % (n - 1)) for i in range(1, n)])
         return generate_group([three, big], degree=n, cap=cap)
     if isinstance(spec, FieldSemidirect):
-        return _field_semidirect_group(spec.p, spec.a, spec.d, cap)
+        p, a, d = spec.p, spec.a, spec.d
+        G = _semidirect_group(p, a, [_multiplication_matrix(p, a, d)] if d > 1 else [], cap)
+        if G.order != d * p**a:
+            raise EngineInvariantError(f"field semidirect product has order {G.order}, not {d * p**a}")
+        return G
     if isinstance(spec, MatrixSemidirect):
-        return _matrix_semidirect_group(spec, cap)
+        return _semidirect_group(spec.p, len(spec.matrices[0]), spec.matrices, cap)
     if isinstance(spec, Quaternion8):
         return generate_group([_Q8_I, _Q8_J], degree=8, cap=cap)
     if isinstance(spec, DirectProduct):
@@ -372,8 +350,7 @@ def translation_subgroup(G: FiniteGroup, p: int, a: int) -> SubgroupHandle:
     size = p ** a
     if G.degree != size:
         raise InputError(f"group degree {G.degree} is not {p}^{a}")
-    digits = np.array([_digits(v, p, a) for v in range(size)], dtype=np.int64)
-    powers = p ** np.arange(a, dtype=np.int64)
+    digits, powers = _vectors(p, a)
     perms = ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
     return SubgroupHandle(G, (int(i) for i in G.index_rows(perms)))
 

@@ -12,7 +12,9 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .chartab import CharacterTable, character_kernel, check_row
+import numpy as np
+
+from .chartab import CharacterTable, check_row
 from .errors import InputError
 from .group import FiniteGroup, SubgroupHandle
 from .number_theory import is_prime
@@ -97,39 +99,43 @@ def format_field(k: FieldSpec) -> str:
     return "Q" if k.m == 1 else f"Q(zeta_{k.m})"
 
 
-def has_values_in(T: CharacterTable, char: int, k: FieldSpec) -> bool:
-    """Whether every value of the character row lies in the field.
+def _field_rows(T: CharacterTable, k: FieldSpec) -> np.ndarray:
+    """Per row, whether every value lies in the field.
 
-    Reads per-row data that each table computes once: values sit at their
-    minimal conductor, so Q(zeta_m) membership is divisibility of m by the
-    row's conductor lcm (``T.row_conductors``), and R membership is
-    invariance of every value under conjugation (``T.real_rows``).
+    Values sit at their minimal conductor, so Q(zeta_m) membership is
+    divisibility of m by the row's conductor lcm (``T.row_conductors``), and
+    R membership is invariance of every value under conjugation
+    (``T.real_rows``).
     """
-    check_row(T, char)
     if k.variant == "complexes":
-        return True
+        return np.ones(T.num_chars, dtype=bool)
     if k.variant == "reals":
-        return T.real_rows[char]
-    return k.m % T.row_conductors[char] == 0
+        return np.array(T.real_rows, dtype=bool)
+    return k.m % np.array(T.row_conductors, dtype=np.int64) == 0
+
+
+def has_values_in(T: CharacterTable, char: int, k: FieldSpec) -> bool:
+    """Whether every value of the character row lies in the field."""
+    check_row(T, char)
+    return bool(_field_rows(T, k)[char])
 
 
 def irr_subset(T: CharacterTable, k: FieldSpec, p: Optional[int] = None) -> List[int]:
     """Rows with values in k and, when p is given, degree not divisible by p."""
-    if p is not None and not is_prime(p):
-        raise InputError(f"p-filter must be prime, got {p}")
-    return [
-        r
-        for r in range(T.num_chars)
-        if (p is None or T.degrees[r] % p != 0) and has_values_in(T, r, k)
-    ]
+    mask = _field_rows(T, k)
+    if p is not None:
+        if not is_prime(p):
+            raise InputError(f"p-filter must be prime, got {p}")
+        mask &= np.array(T.degrees) % p != 0
+    return np.flatnonzero(mask).tolist()
 
 
 def a_k_subgroup(G: FiniteGroup, T: CharacterTable, k: FieldSpec) -> SubgroupHandle:
     """A^k(G): intersection of kernels of linear characters with values in k."""
     if T.group is not G:
         raise InputError("table does not belong to the given group")
-    members = set(range(G.order))
-    for r in range(T.num_chars):
-        if T.degrees[r] == 1 and has_values_in(T, r, k):
-            members &= character_kernel(T, r).member_set()
-    return SubgroupHandle(G, sorted(members))
+    classes = set(range(T.classes.num_classes))
+    for r in np.flatnonzero(_field_rows(T, k) & (np.array(T.degrees) == 1)).tolist():
+        classes.intersection_update(T.kernel_classes[r])
+    members = T.classes.members
+    return SubgroupHandle(G, [x for c in classes for x in members[c]])

@@ -329,11 +329,6 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
     return data
 
 
-def element_order(G: FiniteGroup, i: int) -> int:
-    """Least n >= 1 with g^n = identity."""
-    return G.orders()[i]
-
-
 def exponent(G: FiniteGroup) -> int:
     if G._exponent is None:
         G._exponent = math.lcm(*set(G.orders()))
@@ -543,12 +538,6 @@ def minimal_normal_subgroups(G: FiniteGroup) -> List[SubgroupHandle]:
     minimal = [H for H in closures
                if not any(K.order < H.order and K.member_set() <= H.member_set() for K in closures)]
     return sorted(minimal, key=lambda h: (h.order, h.indices))
-
-
-def subgroup_intersection(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:
-    if A.parent is not B.parent:
-        raise InputError("subgroup intersection needs handles into the same parent group")
-    return SubgroupHandle(A.parent, A.member_set() & B.member_set())
 
 
 def is_normal(G: FiniteGroup, H: SubgroupHandle) -> bool:

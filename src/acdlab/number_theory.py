@@ -139,25 +139,7 @@ def crt_lift(residues: List[int], moduli: List[int]) -> int:
 
 def unit_group_generators(n: int) -> List[int]:
     """Generators of (Z/n)*, via the CRT decomposition over prime powers."""
-    if n <= 2:
-        return []
-    gens: List[int] = []
-    fac = factorize(n)
-    moduli = [p**a for p, a in fac.items()]
-    for p, a in fac.items():
-        q = p**a
-        others = [m for m in moduli if m != q]
-        local: List[int] = []
-        if p == 2:
-            if a == 2:
-                local = [3]
-            elif a >= 3:
-                local = [q - 1, 5]
-        else:
-            local = [primitive_root(q)]
-        for g in local:
-            gens.append(crt_lift([g] + [1] * len(others), [q] + others))
-    return sorted(set(gens))
+    return fixing_unit_generators(n, 1)
 
 
 def fixing_unit_generators(n: int, g: int) -> List[int]:

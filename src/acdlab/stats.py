@@ -16,10 +16,10 @@ Rational = Fraction
 
 
 def ave(values: Iterable[Rational]) -> Fraction:
-    vals = [Fraction(v) for v in values]
+    vals = list(values)
     if not vals:
         raise DomainError("average of an empty collection")
-    return sum(vals, Fraction(0)) / len(vals)
+    return Fraction(sum(vals), len(vals))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from acdlab.audit import _abelian3_fields, audit_theorem
+from acdlab.audit import _abelian3_fields, _abelian3_index, audit_theorem
 from acdlab.chartab import character_table, verify_orthogonality
 from acdlab.constructions import FieldSemidirect, default_catalog, to_text
 from acdlab.fieldvals import FieldSpec, a_k_subgroup, format_field
@@ -82,6 +82,7 @@ def test_criterion_2_abelian_complement_closed_form(cache, capsys):
             TH = character_table(H)
             for k in _abelian3_fields(s.p, s.d):
                 index = H.order // a_k_subgroup(H, TH, k).order
+                assert _abelian3_index(s.d, k) == index, (text, format_field(k))
                 want = abelian3_formula(s.p, s.a, s.d, index)
                 got = acd(G, T, AcdQuery(field=k))
                 assert got == want, (text, format_field(k), got, want)

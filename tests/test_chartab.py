@@ -32,7 +32,7 @@ from acdlab.chartab import (
 from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
 from acdlab.fieldvals import FieldSpec, has_values_in
-from acdlab.group import conjugacy_classes, element_order, is_normal
+from acdlab.group import conjugacy_classes, is_normal
 from acdlab.number_theory import is_prime, primitive_root
 from acdlab.specparse import parse_group_spec
 
@@ -46,7 +46,7 @@ def class_index(G, C, *, size, order=None):
     hits = [
         c
         for c in range(C.num_classes)
-        if C.sizes[c] == size and (order is None or element_order(G, C.reps[c]) == order)
+        if C.sizes[c] == size and (order is None or G.orders()[C.reps[c]] == order)
     ]
     assert len(hits) == 1, hits
     return hits[0]
@@ -473,7 +473,7 @@ class TestJsonOutput:
         assert len(data["values"]) == 5
         assert data["class_sizes"] == [T.classes.sizes[c] for c in range(5)]
         assert data["class_orders"] == [
-            element_order(G, T.classes.reps[c]) for c in range(5)
+            G.orders()[T.classes.reps[c]] for c in range(5)
         ]
         for row, want in zip(data["values"], T.rows):
             assert [CyclotomicValue.from_json_dict(v) for v in row] == list(want)
@@ -538,7 +538,7 @@ class TestDistinctValueWork:
         keys = set()
         for c in range(k):
             g = C.reps[c]
-            m = element_order(G, g)
+            m = G.orders()[g]
             chi = mt.chi[:, [C.class_of[x] for x in G.powers(g, m)]]
             om = pow(mt.omega_root, e // m, q)
             W = np.array([[pow(om, -j * t % m, q) for j in range(m)] for t in range(m)],

@@ -22,7 +22,6 @@ from acdlab.errors import ConstructionError, EngineInvariantError, InputError
 from acdlab.group import (
     center,
     conjugacy_classes,
-    element_order,
     is_normal,
     is_solvable,
     subgroup_as_group,
@@ -53,12 +52,12 @@ class TestBuilders:
 
     def test_cyclic_is_cyclic(self):
         G = build(Cyclic(12))
-        assert max(element_order(G, i) for i in range(G.order)) == 12
+        assert max(G.orders()) == 12
         assert center(G).order == 12
 
     def test_dihedral_element_orders(self):
         G = build(Dihedral(9))
-        orders = sorted(element_order(G, i) for i in range(G.order))
+        orders = sorted(G.orders())
         # Nine reflections of order 2, rotations of orders dividing 9.
         assert orders.count(2) == 9
         assert orders.count(9) == 6
@@ -66,11 +65,11 @@ class TestBuilders:
     def test_klein_four_realization(self):
         G = build(Dihedral(2))
         assert G.order == 4
-        assert all(element_order(G, i) <= 2 for i in range(G.order))
+        assert all(o <= 2 for o in G.orders())
 
     def test_quaternion_structure(self):
         G = build(Quaternion8())
-        orders = sorted(element_order(G, i) for i in range(G.order))
+        orders = sorted(G.orders())
         # A unique involution is what separates Q8 from D4.
         assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
         assert center(G).order == 2
@@ -86,7 +85,7 @@ class TestBuilders:
         G = build(FieldSemidirect(3, 2, 1))
         assert G.order == 9
         assert center(G).order == 9
-        assert all(element_order(G, i) in (1, 3) for i in range(G.order))
+        assert all(o in (1, 3) for o in G.orders())
 
     def test_a4_as_field_semidirect(self):
         # C3 acting on F4 is the alternating group on 4 points.

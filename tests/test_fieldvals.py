@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from acdlab.chartab import galois_conjugate
+from acdlab.chartab import character_kernel, galois_conjugate
+from acdlab.constructions import default_catalog, to_text
 from acdlab.errors import InputError
 from acdlab.fieldvals import (
     FieldSpec,
@@ -88,6 +89,14 @@ def has_values_in_brute(T, r, k):
 
 FIXTURES = ["S(4)", "A(4)", "A(5)", "Q8", "D(10)", "D(18)", "F(7,3)", "F(11,10)", "SD(3,2,8)", "C(2)*S(3)"]
 FIELDS = [Q, zm(3), zm(4), zm(5), zm(7), zm(9), zm(12), zm(21), zm(55), R, C]
+CATALOG_SLICE = [to_text(s) for s in default_catalog()[::12]]
+
+
+def audited_fields(G):
+    """(p, k) for every prime p dividing |G| and each of Q, R, C and Q(zeta_p)."""
+    for p in prime_divisors(G.order) or [2]:
+        for k in (Q, R, C, zm(p)):
+            yield p, k
 
 
 class TestHasValuesIn:
@@ -153,6 +162,18 @@ class TestIrrSubset:
         assert irr_subset(T, C, p=3) == [r for r in range(5) if T.degrees[r] % 3 != 0]
         assert irr_subset(T, zm(7), p=7) == irr_subset(T, zm(7))
 
+    @pytest.mark.parametrize("text", CATALOG_SLICE)
+    def test_matches_per_row_filter(self, cache, text):
+        G, T = cache.pair(text)
+        for p, k in audited_fields(G):
+            for q in (None, p):
+                want = [
+                    r
+                    for r in range(T.num_chars)
+                    if has_values_in(T, r, k) and (q is None or T.degrees[r] % q != 0)
+                ]
+                assert irr_subset(T, k, q) == want, (text, k, q)
+
     def test_rejects_bad_p(self, cache):
         T = cache.table("S(3)")
         with pytest.raises(InputError):
@@ -188,6 +209,16 @@ class TestAkSubgroup:
                     if T.degrees[r] == 1 and has_values_in(T, r, k)
                 ]
                 assert G.order // A.order == len(linear)
+
+    @pytest.mark.parametrize("text", CATALOG_SLICE)
+    def test_matches_kernel_intersection(self, cache, text):
+        G, T = cache.pair(text)
+        for _, k in audited_fields(G):
+            members = set(range(G.order))
+            for r in range(T.num_chars):
+                if T.degrees[r] == 1 and has_values_in(T, r, k):
+                    members &= character_kernel(T, r).member_set()
+            assert a_k_subgroup(G, T, k).member_set() == members, (text, k)
 
     def test_monotone_in_field(self, cache):
         for text in FIXTURES:

@@ -160,6 +160,7 @@ class TestUnitGroupGenerators:
     @given(st.integers(min_value=1, max_value=200))
     def test_generate_full_unit_group(self, n):
         gens = unit_group_generators(n)
+        assert gens == fixing_unit_generators(n, 1)
         assert span(n, gens) == units(n)
 
 
