@@ -38,6 +38,8 @@ from .errors import EngineInvariantError, InputError
 from .fieldvals import FieldSpec, format_field
 from .group import (
     SubgroupHandle,
+    _closure,
+    _commutators,
     center,
     derived_subgroup,
     is_p_nilpotent,
@@ -45,7 +47,6 @@ from .group import (
     minimal_normal_subgroups,
     normal_closure,
     point_stabilizer,
-    subgroup_as_group,
 )
 from .number_theory import divisors, euler_phi, is_prime, prime_divisors
 from .specparse import parse_group_spec
@@ -375,7 +376,7 @@ def _nonabelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     H = point_stabilizer(G, 0)
     if V.order * H.order != G.order or (V.member_set() & H.member_set()) != {0}:
         return []
-    if derived_subgroup(subgroup_as_group(G, H)[0]).order == 1:  # H is abelian
+    if not _commutators(G, _closure(G, H.indices)[0]):  # H is abelian
         return []
     if any(normal_closure(G, [v]).member_set() != V.member_set() for v in V.indices if v):
         return []

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cyclotomic import CyclotomicValue, Rat
-from .errors import EngineInvariantError, InputError
+from .errors import DomainError, EngineInvariantError, InputError
 from .group import (
     ClassData,
     FiniteGroup,
@@ -257,7 +257,10 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
         if sr == 0:
             raise EngineInvariantError("a central character must have a nonzero norm")
         d2 = (G.order * pow(sr, -1, q)) % q
-        d = sqrt_mod(d2, q)
+        try:
+            d = sqrt_mod(d2, q)
+        except DomainError as exc:
+            raise EngineInvariantError(f"degree square {d2} is not a square mod {q}") from exc
         d = min(d, q - d)
         if not (1 <= d <= bound and (d * d) % q == d2):
             raise EngineInvariantError(f"no degree in [1, {bound}] squares to {d2} mod {q}")

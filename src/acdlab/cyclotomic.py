@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, EngineInvariantError, InputError
-from .number_theory import divisors, euler_phi, fixing_unit_generators, prime_divisors
+from .number_theory import divisors, euler_phi, prime_divisors
 
 Rat = Union[int, Fraction]
 
@@ -90,55 +90,6 @@ def _sigma_matrix(m: int, t: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fixing_gens(m: int, g: int) -> Tuple[int, ...]:
-    return tuple(fixing_unit_generators(m, g))
-
-
-@lru_cache(maxsize=None)
-def _subfield_solver(m: int, p: int):
-    """Change-of-basis data for rewriting values of Q(zeta_{m/p}) inside Q(zeta_m).
-
-    Returns (pivots, E, R) with R = E*B the reduced row echelon form of the
-    basis matrix B whose rows are zeta_m^(p*j) over the conductor-m basis.
-    A coordinate vector v in the row span of B equals (v at pivots) * R, and
-    its subfield coordinates are (v at pivots) * E.
-    """
-    sub = m // p
-    k = euler_phi(sub)
-    R_m = reduction_rows(m)
-    n = R_m.shape[1]
-    rows = [[Fraction(int(R_m[(p * j) % m, c])) for c in range(n)] for j in range(k)]
-    ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, k) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        ident[r], ident[sel] = ident[sel], ident[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        ident[r] = [x * inv for x in ident[r]]
-        for i in range(k):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                ident[i] = [a - f * b for a, b in zip(ident[i], ident[r])]
-        pivots.append(c)
-        r += 1
-        if r == k:
-            break
-    if r != k:
-        raise EngineInvariantError("subfield basis rows must be independent")
-    return (
-        tuple(pivots),
-        tuple(tuple(row) for row in ident),
-        tuple(tuple(row) for row in rows),
-    )
-
-
 def _as_rat(x: Rat) -> Rat:
     if type(x) is int:
         return x
@@ -149,38 +100,25 @@ def _as_rat(x: Rat) -> Rat:
     raise InputError(f"coefficients must be integers or Fractions, got {type(x).__name__}")
 
 
+def _operands(m: int, M: np.ndarray, coeffs: Sequence[Rat]) -> Tuple[np.ndarray, np.ndarray]:
+    """coeffs and rows M of ``reduction_rows(m)`` as arrays of one dtype: int64
+    when no partial sum of ``coeffs @ M`` can leave int64, Python objects otherwise."""
+    if (M.dtype == np.int64 and all(type(c) is int for c in coeffs)
+            and sum(map(abs, coeffs)) <= _int64_limit(m)):
+        return np.array(coeffs, dtype=np.int64), M
+    return np.array(coeffs, dtype=object), M.astype(object)
+
+
+def _apply(m: int, M: np.ndarray, coeffs: Sequence[Rat]) -> List[Rat]:
+    """Exact ``coeffs @ M`` for rows M of ``reduction_rows(m)``."""
+    c, M = _operands(m, M, coeffs)
+    out = (c @ M).tolist()
+    return out if c.dtype == np.int64 else [_as_rat(x) for x in out]
+
+
 def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
     """Coordinates of sum(c * zeta_m^j) over the conductor-m power basis."""
-    phi = euler_phi(m)
-    R = reduction_rows(m)
-    if (R.dtype == np.int64 and all(isinstance(c, int) for c in terms.values())
-            and sum(map(abs, terms.values())) <= _int64_limit(m)):
-        v = np.zeros(phi, dtype=np.int64)
-        for j, c in terms.items():
-            v += c * R[j]
-        return [int(x) for x in v]
-    out: List[Rat] = [Fraction(0)] * phi
-    for j, c in terms.items():
-        row = R[j]
-        for i in range(phi):
-            if row[i]:
-                out[i] += c * int(row[i])
-    return out
-
-
-def _apply_sigma(v: List[Rat], m: int, t: int) -> List[Rat]:
-    M = _sigma_matrix(m, t)
-    phi = len(v)
-    if M.dtype == np.int64 and all(type(c) is int for c in v) and sum(map(abs, v)) <= _int64_limit(m):
-        return (np.asarray(v, dtype=np.int64) @ M).tolist()
-    out: List[Rat] = [Fraction(0)] * phi
-    for j, c in enumerate(v):
-        if c:
-            row = M[j]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * int(row[i])
-    return [_as_rat(c) for c in out]
+    return _apply(m, reduction_rows(m)[list(terms)], list(terms.values()))
 
 
 def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
@@ -234,24 +172,31 @@ def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
         return 1, (terms[0],)
     v = _reduce_terms(m, terms)
     if all(c == 0 for c in v[1:]):
-        return 1, (_as_rat(v[0]),)
+        return 1, (v[0],)
     if len(terms) == 1:
         # A single term c*zeta_m^j with gcd(j, m) = 1 generates Q(zeta_m).
-        return m, tuple(_as_rat(c) for c in v)
+        return m, tuple(v)
 
+    # Descend to Q(zeta_{m/p}) when the value lies there.  For p^2 | m,
+    # Phi_m(x) = Phi_{m/p}(x^p): the value lies there iff its coordinates off
+    # the multiples of p vanish.  For p || m, zeta_m = zeta_n^u * zeta_p^w
+    # (n = m/p, u = 1/p mod n, w = 1/n mod p) splits the value as
+    # sum_b Y_b zeta_p^b with Y_b in Q(zeta_n); as zeta_p, ..., zeta_p^(p-1)
+    # is a basis over Q(zeta_n), it lies there iff Y_1 = ... = Y_(p-1), and
+    # then equals Y_0 - Y_1.
     for p in prime_divisors(m):
-        sub = m // p
-        if all(_apply_sigma(v, m, t) == v for t in _fixing_gens(m, sub)):
-            pivots, E, R = _subfield_solver(m, p)
-            b = [Fraction(v[c]) for c in pivots]
-            k, n = len(E), len(v)
-            check = [sum(b[i] * R[i][c] for i in range(k)) for c in range(n)]
-            if not all(check[c] == v[c] for c in range(n)):
-                raise EngineInvariantError("fixed value must lie in subfield")
-            coords = {j: sum(b[i] * E[i][j] for i in range(k)) for j in range(k)}
-            return _canonical(sub, coords)
-
-    return m, tuple(_as_rat(c) for c in v)
+        n = m // p
+        if n % p == 0:
+            if not any(c for j, c in enumerate(v) if j % p):
+                return _canonical(n, dict(enumerate(v[::p])))
+        elif n > 1:  # n = 1 is the rational case above
+            j = np.arange(len(v))
+            c, R = _operands(n, reduction_rows(n)[j * pow(p, -1, n) % n], v)
+            Y = np.zeros((p, R.shape[1]), dtype=c.dtype)
+            np.add.at(Y, j * pow(n, -1, p) % p, c[:, None] * R)
+            if (Y[2:] == Y[1]).all():
+                return _canonical(n, dict(enumerate((Y[0] - Y[1]).tolist())))
+    return m, tuple(v)
 
 
 class CyclotomicValue:
@@ -324,7 +269,7 @@ class CyclotomicValue:
             return self
         if gcd(t, m) != 1:
             raise InputError(f"galois exponent {t} is not a unit mod {m}")
-        v = _apply_sigma(list(self.coeffs), m, t % m)
+        v = _apply(m, _sigma_matrix(m, t % m), self.coeffs)
         # Galois maps preserve the minimal conductor, so no re-descent needed.
         return CyclotomicValue._raw(m, tuple(v))
 
@@ -407,6 +352,8 @@ class CyclotomicValue:
     def __truediv__(self, other: Rat) -> "CyclotomicValue":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if other == 0:
+            raise DomainError("division of a cyclotomic value by zero")
         return self.__mul__(Fraction(1, 1) / other)
 
     def __bool__(self) -> bool:

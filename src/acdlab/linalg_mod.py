@@ -19,12 +19,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .errors import DomainError, InputError
+
 
 def rref_mod(A: np.ndarray, q: int) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form mod q; returns (nonzero rows, pivot columns)."""
-    R = np.mod(np.asarray(A, dtype=np.int64), q)
+    try:
+        R = np.mod(np.asarray(A, dtype=np.int64), q)
+    except ValueError as exc:  # ragged rows
+        raise InputError("rref_mod needs a matrix") from exc
     if R.ndim != 2:
-        raise ValueError("rref_mod needs a matrix")
+        raise InputError("rref_mod needs a matrix")
     rows, cols = R.shape
     pivots: List[int] = []
     r = 0
@@ -269,7 +274,7 @@ def sqrt_mod(a: int, q: int) -> int:
     if a == 0:
         return 0
     if pow(a, (q - 1) // 2, q) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {q}")
+        raise DomainError(f"{a} is not a quadratic residue mod {q}")
     if q % 4 == 3:
         return pow(a, (q + 1) // 4, q)
     s, m = q - 1, 0

@@ -138,50 +138,19 @@ def crt_lift(residues: List[int], moduli: List[int]) -> int:
 
 
 def unit_group_generators(n: int) -> List[int]:
-    """Generators of (Z/n)*, via the CRT decomposition over prime powers."""
-    return fixing_unit_generators(n, 1)
+    """Generators of (Z/n)*, via the CRT decomposition over prime powers.
 
-
-def fixing_unit_generators(n: int, g: int) -> List[int]:
-    """Generators of the subgroup {t in (Z/n)* : t = 1 (mod g)}, for g | n.
-
-    These are the unit residues whose Galois action fixes the degree-g
-    cyclotomic subfield inside the degree-n one.
+    Each prime power q || n contributes generators of (Z/q)*, lifted to
+    residues that are 1 modulo n/q.
     """
-    if g <= 0 or n % g != 0:
-        raise InputError(f"fixing_unit_generators needs g | n, got g={g}, n={n}")
     if n <= 2:
         return []
-    fac = factorize(n)
-    moduli = [p**a for p, a in fac.items()]
     gens: List[int] = []
-    for p, a in fac.items():
+    for p, a in factorize(n).items():
         q = p**a
-        b = 0
-        gg = g
-        while gg % p == 0:
-            gg //= p
-            b += 1
-        others = [m for m in moduli if m != q]
-        local: List[int] = []
-        if p == 2:
-            if a == 1:
-                local = []
-            elif a == 2:
-                local = [3] if b <= 1 else []
-            else:
-                if b <= 1:
-                    local = [q - 1, 5]
-                elif b == 2:
-                    local = [5]
-                elif b < a:
-                    local = [pow(5, 2 ** (b - 2), q)]
+        if p != 2:
+            local = [primitive_root(q)]
         else:
-            r = primitive_root(q)
-            if b == 0:
-                local = [r % q]
-            elif b < a:
-                local = [pow(r, euler_phi(p**b), q)]
-        for x in local:
-            gens.append(crt_lift([x] + [1] * len(others), [q] + others))
-    return sorted(set(gens))
+            local = [] if a == 1 else [3] if a == 2 else [q - 1, 5]
+        gens += [crt_lift([x, 1], [q, n // q]) for x in local]
+    return sorted(gens)

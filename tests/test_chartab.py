@@ -893,6 +893,28 @@ class TestInternals:
             chartab._split_eigenspaces(
                 None, types.SimpleNamespace(num_classes=3), 13, np.eye(3, dtype=np.int64))
 
+    def test_linalg_errors_are_typed(self):
+        from acdlab.errors import DomainError, InputError
+        from acdlab.linalg_mod import rref_mod, sqrt_mod
+
+        for not_a_matrix in (np.arange(3), [[1, 2], [3]]):
+            with pytest.raises(InputError, match="matrix"):
+                rref_mod(not_a_matrix, 5)
+        with pytest.raises(DomainError, match="quadratic residue"):
+            sqrt_mod(3, 7)
+        assert sqrt_mod(2, 7) in (3, 4)
+
+    def test_non_residue_degree_square_raises(self, monkeypatch):
+        import acdlab.chartab as chartab
+        from acdlab.errors import DomainError, EngineInvariantError
+
+        def no_root(a, q):
+            raise DomainError(f"{a} is not a quadratic residue mod {q}")
+
+        monkeypatch.setattr(chartab, "sqrt_mod", no_root)
+        with pytest.raises(EngineInvariantError, match="not a square"):
+            compute_mod_table(build(parse_group_spec("S(3)")))
+
     @pytest.mark.parametrize("text", ["C(150)", "C(2)*C(90)"])
     def test_split_takes_few_null_spaces(self, cache, monkeypatch, text):
         import acdlab.chartab as chartab

@@ -7,6 +7,7 @@ expression in complex floats and must agree to high precision.
 
 import cmath
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -99,6 +100,56 @@ class TestCanonicalForm:
         assert cyclotomic_poly(4) == (1, 0, 1)
         assert cyclotomic_poly(9) == (1, 0, 0, 1, 0, 0, 1)
         assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def numeric_terms(m, terms, t=1):
+    return sum(complex(c) * cmath.exp(2j * cmath.pi * j * t / m) for j, c in terms.items())
+
+
+def oracle_conductor(m, terms):
+    """Least d | m, d not 2 mod 4, whose field Q(zeta_d) holds the sum: the
+    fixed field of the units t = 1 (mod d) of Z/m (Galois theory)."""
+    x = numeric_terms(m, terms)
+    units = [t for t in range(1, m + 1) if math.gcd(t, m) == 1]
+    return min(d for d in range(1, m + 1) if m % d == 0 and d % 4 != 2
+               and all(close(numeric_terms(m, terms, t), x) for t in units if t % d == 1 % d))
+
+
+@st.composite
+def subfield_terms(draw):
+    """A sum at conductor m traced down to Q(zeta_d) for a random d | m, plus
+    multiples of zeta_m^j (1 + zeta_p + ... + zeta_p^(p-1)) = 0 for primes
+    p | m, so the exponents share no factor with m even when the value lies
+    lower."""
+    m = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    coeff = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    exponent = st.integers(min_value=0, max_value=m - 1)
+    y = draw(st.dictionaries(exponent, coeff, max_size=4))
+    terms = {}
+    for t in range(1, m + 1):
+        if math.gcd(t, m) == 1 and t % d == 1 % d:
+            for j, c in y.items():
+                terms[j * t % m] = terms.get(j * t % m, 0) + c
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+    if primes:
+        for p, j, c in draw(st.lists(st.tuples(st.sampled_from(primes), exponent, coeff),
+                                     max_size=2)):
+            for k in range(p):
+                e = (j + k * m // p) % m
+                terms[e] = terms.get(e, 0) + c
+    return m, terms
+
+
+class TestConductorOracle:
+    @given(subfield_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_minimal_conductor_matches_definition(self, mt):
+        m, terms = mt
+        x = CyclotomicValue(m, terms)
+        assert x.conductor == oracle_conductor(m, terms)
+        assert close(numeric(x), numeric_terms(m, terms))
 
 
 class TestEqualityAndHash:
@@ -228,6 +279,13 @@ class TestInputValidation:
         with pytest.raises(InputError):
             CyclotomicValue.from_terms(-3, {0: 1})
 
+    def test_division_by_zero(self):
+        with pytest.raises(DomainError):
+            zeta(3) / 0
+        with pytest.raises(DomainError):
+            zeta(3) / Fraction(0)
+        assert zeta(3) / 2 * 2 == zeta(3)
+
     def test_sort_key_orders_deterministically(self):
         vals = [zeta(3), zeta(3, 2), CyclotomicValue.rational(1), zeta(5)]
         keys = [v.sort_key() for v in vals]
@@ -251,6 +309,22 @@ class TestLargeCoefficients:
         assert x.coeffs == (huge, 1, 0, 0)
         assert x.galois(2) == CyclotomicValue(5, {0: huge, 2: 1})
         assert (x * x.conjugate()) - huge * huge == huge * (zeta(5) + zeta(5, 4)) + 1
+
+
+    def test_descent_past_int64(self):
+        huge = 2**70
+        # Each shape twice: once where a common exponent factor already
+        # lowers the conductor, once with exponents prime to m, where only
+        # the descent rule can.
+        # p || m: zeta_15^5 + zeta_15^10 = zeta_3 + zeta_3^2 = -1, and
+        # zeta_15^8 + zeta_15^13 = zeta_5 (zeta_3 + zeta_3^2) = -zeta_5.
+        assert CyclotomicValue(15, {5: huge, 10: huge}) == -huge
+        x = CyclotomicValue(15, {8: huge, 13: huge})
+        assert (x.conductor, x.coeffs) == (5, (0, -huge, 0, 0))
+        # p^2 | m: zeta_9 + zeta_9^4 + zeta_9^7 = 0, so the second sum is zeta_9^3 = zeta_3.
+        assert CyclotomicValue(9, {3: huge}) == huge * zeta(3)
+        x = CyclotomicValue(9, {3: huge, 1: huge, 4: huge, 7: huge})
+        assert (x.conductor, x.coeffs) == (3, (0, huge))
 
 
 class TestEngineInvariants:

@@ -11,7 +11,6 @@ from acdlab.number_theory import (
     divisors,
     euler_phi,
     factorize,
-    fixing_unit_generators,
     is_prime,
     multiplicative_order,
     p_prime_part,
@@ -159,21 +158,11 @@ def span(n, gens):
 class TestUnitGroupGenerators:
     @given(st.integers(min_value=1, max_value=200))
     def test_generate_full_unit_group(self, n):
-        gens = unit_group_generators(n)
-        assert gens == fixing_unit_generators(n, 1)
-        assert span(n, gens) == units(n)
+        assert span(n, unit_group_generators(n)) == units(n)
 
-
-class TestFixingUnitGenerators:
-    @given(st.integers(min_value=1, max_value=100), st.data())
-    def test_generates_congruence_subgroup(self, n, data):
-        g = data.draw(st.sampled_from(divisors(n)))
-        gens = fixing_unit_generators(n, g)
-        want = {t for t in units(n) if t % g == 1 % g}
-        assert span(n, gens) == want
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(InputError):
-            fixing_unit_generators(12, 5)
-        with pytest.raises(InputError):
-            fixing_unit_generators(12, 0)
+    @pytest.mark.parametrize("n, gens", [
+        (1, []), (2, []), (8, [5, 7]), (15, [7, 11]), (16, [5, 15]), (105, [22, 31, 71]),
+    ])
+    def test_pinned_generators(self, n, gens):
+        # One lift per generator of each (Z/q)*, q a prime power exactly dividing n.
+        assert unit_group_generators(n) == gens
