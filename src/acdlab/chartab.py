@@ -6,11 +6,14 @@ rows (``linear_characters``).  The other central characters span the null
 space of the conjugated linear characters (first orthogonality), and only
 that complement is split into one-dimensional common eigenspaces of the
 class matrices, so an abelian group builds no class matrix.  Degrees come
-from the second orthogonality relation; each nonlinear value is lifted to
-an exact cyclotomic number through the root-of-unity multiplicity transform
-at the conductor of the class representative.  All arithmetic is
-integer-exact: the orthogonality check's float64 products only ever hold
-integers below 2^53.
+from the second orthogonality relation.  The nonlinear values are lifted to
+exact cyclotomic numbers through the root-of-unity multiplicity transform at
+the order m of a class representative g, once per Galois orbit of classes:
+the class of g^u, u a unit mod m, takes the representative's multiplicity
+rows with their columns permuted by j -> j u^-1, and each column so filled
+is checked against its modular values.  All arithmetic is integer-exact:
+the orthogonality check's float64 products only ever hold integers below
+2^53.
 """
 
 from __future__ import annotations
@@ -369,38 +372,60 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     values = {CyclotomicValue(e, {int(j): 1}): i for i, j in enumerate(exps)}
     ids = np.empty((k, k), dtype=np.intp)
     ids[:n_lin] = slot[mt.linear]
-    transform_memo: Dict[int, np.ndarray] = {}
+    transform_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     # The multiplicity vector at conductor m determines the value, and a
     # table has far fewer distinct values than cells: canonicalise each once.
     value_memo: Dict[Tuple[int, bytes], int] = {}
+    lifted = np.zeros(k, dtype=bool)
 
     for c in range(k if nonlinear else 0):  # an abelian table has nothing to lift
+        if lifted[c]:
+            continue
         g = C.reps[c]
         m = int(orders[g])
-        # Multiplicity transform: chi(g) = sum_j m_j zeta_m^j with
-        # m_j = (1/m) sum_t chi_q(g^t) omega_m^(-jt); the m_j are the true
-        # eigenvalue multiplicities, integers in [0, degree], so the lift
-        # is unique once q > 2*sqrt(|G|) >= 2*degree.
+        # Multiplicity transform, once per Galois orbit of classes:
+        # chi(g) = sum_j m_j zeta_m^j with m_j = (1/m) sum_t chi_q(g^t)
+        # omega_m^(-jt); the m_j are the true eigenvalue multiplicities,
+        # integers in [0, degree], so the lift is unique once
+        # q > 2*sqrt(|G|) >= 2*degree.
         power_classes = [C.class_of[x] for x in G.powers(g, m)]
-        Wm = transform_memo.get(m)
-        if Wm is None:
+        memo = transform_memo.get(m)
+        if memo is None:
             om_m = pow(mt.omega_root, e // m, q)
             ptab = np.array([pow(om_m, t, q) for t in range(m)], dtype=np.int64)
             tt = np.arange(m)
-            Wm = transform_memo[m] = ptab[(-np.outer(tt, tt)) % m]
+            memo = transform_memo[m] = (ptab, ptab[(-np.outer(tt, tt)) % m])
+        ptab, Wm = memo
         V = mt.chi[n_lin:, power_classes]
         MV = ((V @ Wm) % q * pow(m, -1, q)) % q
         if not np.array_equal(MV.sum(axis=1), nonlinear_degrees):
             raise EngineInvariantError("multiplicities must sum to the degree")
-        column = []
-        for mults in MV:
-            key = (m, mults.tobytes())
-            i = value_memo.get(key)
-            if i is None:
-                val = CyclotomicValue(m, {int(j): int(mults[j]) for j in np.flatnonzero(mults)})
-                i = value_memo[key] = values.setdefault(val, len(values))
-            column.append(i)
-        ids[n_lin:, c] = column
+        # rho(g^u) has eigenvalue zeta_m^(ju) with the multiplicity that
+        # rho(g) gives zeta_m^j, so for each unit u the class of g^u takes
+        # the columns of MV permuted by j -> j u^-1.  The transform at that
+        # class would permute the same modular values the same way, so a
+        # modular fault anywhere in the orbit fails the sum check above.
+        # Each filled column is checked against the permutation: its rows,
+        # reduced at zeta_m -> omega_m, must give chi_q at its class.
+        for u in range(1, m + 1):
+            c2 = power_classes[u % m]
+            if lifted[c2] or gcd(u, m) != 1:
+                continue
+            rows = MV[:, np.arange(m) * pow(u, -1, m) % m]
+            if not np.array_equal(rows @ ptab % q, mt.chi[n_lin:, c2]):
+                raise EngineInvariantError(f"the lift at class {c2} must reduce to its modular values")
+            column = []
+            for mults in rows:
+                key = (m, mults.tobytes())
+                i = value_memo.get(key)
+                if i is None:
+                    val = CyclotomicValue(m, {int(j): int(mults[j]) for j in np.flatnonzero(mults)})
+                    i = value_memo[key] = values.setdefault(val, len(values))
+                column.append(i)
+            ids[n_lin:, c2] = column
+            lifted[c2] = True
+    if nonlinear and not lifted.all():
+        raise EngineInvariantError("every class must lie in the Galois orbit of a lifted class")
 
     trivial = np.flatnonzero(~mt.linear.any(axis=1)).tolist()
     if len(trivial) != 1:

@@ -335,12 +335,6 @@ def exponent(G: FiniteGroup) -> int:
     return G._exponent
 
 
-def power_map(G: FiniteGroup, C: ClassData, k: int) -> Tuple[int, ...]:
-    """Map class(g) to class(g^k); well defined since classes power coherently."""
-    powers = [pm.power(tuple(row), k) for row in G.rows[list(C.reps)].tolist()]
-    return tuple(C.class_of[i] for i in G.index_rows(np.array(powers)).tolist())
-
-
 # -- subgroups ---------------------------------------------------------------
 
 

@@ -12,9 +12,10 @@ from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
+from acdlab import perm
 from acdlab.chartab import CharacterTable, galois_conjugate
 from acdlab.cyclotomic import CyclotomicValue
-from acdlab.group import FiniteGroup, SubgroupHandle, power_map
+from acdlab.group import ClassData, FiniteGroup, SubgroupHandle
 from acdlab.number_theory import unit_group_generators
 
 
@@ -145,6 +146,18 @@ def linear_characters_brute(G: FiniteGroup) -> np.ndarray:
     assert len(seen) == n
     assert len(chars) == n // len(derived), (len(chars), n, len(derived))
     return chars
+
+
+def power_map(G: FiniteGroup, C: ClassData, k: int) -> Tuple[int, ...]:
+    """Map class(g) to class(g^k), each representative's permutation raised on its own."""
+    return tuple(C.class_of[G.index_of(perm.power(tuple(G.rows[r].tolist()), k))] for r in C.reps)
+
+
+def galois_class_orbits(G: FiniteGroup, C: ClassData, e: int) -> List[FrozenSet[int]]:
+    """The orbits of the classes under c -> class(g_c^u), u a unit mod the exponent e,
+    each read from the power maps of every unit."""
+    maps = [power_map(G, C, u) for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    return sorted({frozenset(pm[c] for pm in maps) for c in range(C.num_classes)}, key=min)
 
 
 def galois_cross_check(G: FiniteGroup, T: CharacterTable, all_units: bool = False) -> None:

@@ -32,7 +32,7 @@ from acdlab.chartab import (
 from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
 from acdlab.fieldvals import FieldSpec, has_values_in
-from acdlab.group import conjugacy_classes, is_normal
+from acdlab.group import FiniteGroup, conjugacy_classes, is_normal
 from acdlab.number_theory import is_prime, primitive_root
 from acdlab.specparse import parse_group_spec
 
@@ -551,7 +551,7 @@ class TestDistinctValueWork:
                 rows[r][c] = CyclotomicValue(m, dict(enumerate(mults)))
         return sorted(tuple(v.sort_key() for v in row) for row in rows), keys
 
-    @pytest.mark.parametrize("text", ["F(13,3)", "SD(5,3,124)"])
+    @pytest.mark.parametrize("text", ["F(13,3)", "SD(5,3,124)", "D(200)", "C(2)*D(30)"])
     def test_lift_canonicalises_each_value_once(self, cache, monkeypatch, text):
         import acdlab.cyclotomic as cyclotomic
 
@@ -625,6 +625,90 @@ class TestDistinctValueWork:
         T = dataclasses.replace(T, rows=T.rows[:1] + (real, mixed))
         assert T.row_conductors == (1, 5, 12)
         assert T.real_rows == (True, True, False)
+
+
+class TestOrbitLift:
+    """The lift transforms one class per Galois orbit of classes and fills
+    the others by permuting the representative's multiplicity rows."""
+
+    @pytest.mark.parametrize("text", ["F(13,3)", "SD(5,3,124)", "D(200)"])
+    def test_one_transform_per_orbit(self, cache, monkeypatch, text):
+        from oracles import galois_class_orbits
+
+        G, T = cache.pair(text)
+        mt = compute_mod_table(G)
+        real = FiniteGroup.powers
+        calls = []
+
+        def counted(self, i, m):
+            calls.append(i)
+            return real(self, i, m)
+
+        monkeypatch.setattr(chartab, "compute_mod_table", lambda H: mt)
+        monkeypatch.setattr(FiniteGroup, "powers", counted)
+        again = character_table(G)
+        monkeypatch.undo()
+        C = T.classes
+        orbits = galois_class_orbits(G, C, T.exponent)
+        assert len(orbits) < C.num_classes
+        assert [C.class_of[i] for i in calls] == [min(o) for o in orbits]
+        assert again.rows == T.rows
+
+    @staticmethod
+    def planted_cell(G):
+        """A nonlinear row and a class that is not the first of its orbit."""
+        from oracles import galois_class_orbits
+
+        C = conjugacy_classes(G)
+        mt = compute_mod_table(G)
+        orbit = next(o for o in galois_class_orbits(G, C, mt.exponent) if len(o) > 1)
+        return mt, len(mt.linear), max(orbit)
+
+    def test_planted_fault_in_a_filled_column(self, monkeypatch):
+        from acdlab.errors import EngineInvariantError
+
+        G = build(parse_group_spec("F(13,3)"))
+        mt, r, c = self.planted_cell(G)
+        chi = mt.chi.copy()
+        chi[r, c] = (chi[r, c] + 1) % mt.q
+        monkeypatch.setattr(chartab, "compute_mod_table", lambda H: dataclasses.replace(mt, chi=chi))
+        with pytest.raises(EngineInvariantError, match="multiplicities must sum to the degree"):
+            character_table(G)
+
+    def test_planted_fault_under_python_O(self):
+        _, r, c = self.planted_cell(build(parse_group_spec("F(13,3)")))
+        code = (
+            "assert False\n"
+            "import dataclasses\n"
+            "import acdlab.chartab as chartab\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "G = build(parse_group_spec('F(13,3)'))\n"
+            "mt = chartab.compute_mod_table(G)\n"
+            "chi = mt.chi.copy()\n"
+            f"chi[{r}, {c}] = (chi[{r}, {c}] + 1) % mt.q\n"
+            "chartab.compute_mod_table = lambda H: dataclasses.replace(mt, chi=chi)\n"
+            "chartab.character_table(G)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: multiplicities must sum to the degree"), proc.stderr
+
+    def test_dihedral_1000(self):
+        # D(1000)'s 100 classes of rotations of order 500 form one Galois
+        # orbit, so they take one 500 x 500 transform.
+        code = (
+            "from acdlab.chartab import character_table, verify_orthogonality\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "T = character_table(build(parse_group_spec('D(1000)')))\n"
+            "print(T.num_chars, verify_orthogonality(T).ok)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["253", "True"]
 
 
 class TestReplacedTable:
