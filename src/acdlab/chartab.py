@@ -2,18 +2,19 @@
 
 The pipeline works over a prime field F_q (q = 1 mod the group exponent,
 q^2 > 4|G|).  The linear characters are read off G/G' as exact exponent
-rows (``linear_characters``).  The other central characters span the null
-space of the conjugated linear characters (first orthogonality), and only
+rows (``linear_characters``).  The other central characters span the
+vectors that sum to 0 over each coset of G' (first orthogonality), a space
+whose reduced basis is written down directly (``_complement_start``).  Only
 that complement is split into one-dimensional common eigenspaces of the
-class matrices, so an abelian group builds no class matrix.  Degrees come
-from the second orthogonality relation.  The nonlinear values are lifted to
-exact cyclotomic numbers through the root-of-unity multiplicity transform at
-the order m of a class representative g, once per Galois orbit of classes:
-the class of g^u, u a unit mod m, takes the representative's multiplicity
-rows with their columns permuted by j -> j u^-1, and each column so filled
-is checked against its modular values.  All arithmetic is integer-exact:
-the orthogonality check's float64 products only ever hold integers below
-2^53.
+class matrices, taken smallest class first, so an abelian group builds no
+class matrix.  Degrees come from the second orthogonality relation.  The
+nonlinear values are lifted to exact cyclotomic numbers through the
+root-of-unity multiplicity transform at the order m of a class
+representative g, once per Galois orbit of classes: the class of g^u, u a
+unit mod m, takes the representative's multiplicity rows with their columns
+permuted by j -> j u^-1, and each column so filled is checked against its
+modular values.  All arithmetic is integer-exact: the orthogonality check's
+float64 products only ever hold integers below 2^53.
 """
 
 from __future__ import annotations
@@ -158,17 +159,20 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) 
     another to the eigenspaces found so far splits the start space into
     one-dimensional common eigenspaces, its central characters.  The table
     starts from the complement of the linear characters; a start space of
-    one row needs no class matrix.  Each restriction B is split by
+    one row needs no class matrix.  A class matrix costs one product per
+    member and class, so the classes are taken by size, smallest first
+    (ties in class order), as Schneider chooses them by cost; the split's
+    rows come out in that refinement order.  Each restriction B is split by
     ``left_eigenspaces_mod`` in one block Krylov pass; ``nullspace_mod``
     runs only for a root whose block fell short.  Every split is checked:
     the subspace is invariant, the eigenspaces stay independent and fill it
     (B is diagonalizable), and each final row is 1 on the identity class.
     """
-    k = C.num_classes
     spaces: List[Tuple[np.ndarray, List[int]]] = [(start, (start != 0).argmax(axis=1).tolist())]
-    i = 1
+    by_size = iter((1 + np.argsort(C.sizes[1:], kind="stable")).tolist())
     while any(W.shape[0] > 1 for W, _ in spaces):
-        if i >= k:
+        i = next(by_size, None)
+        if i is None:
             raise EngineInvariantError("class matrices must jointly separate the eigenvectors")
         NT = class_matrix(G, C, i).T % q
         nxt: List[Tuple[np.ndarray, List[int]]] = []
@@ -201,7 +205,6 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) 
             if total != s:
                 raise EngineInvariantError("restriction must be diagonalizable over F_q")
         spaces = nxt
-        i += 1
     out = []
     for W, piv in spaces:
         if not (piv[0] == 0 and W[0, 0] == 1):
@@ -218,6 +221,33 @@ def _root_powers(omega: int, e: int, q: int) -> np.ndarray:
         out[n:2 * n] = out[:min(n, e - n)] * pow(omega, n, q) % q
         n *= 2
     return out
+
+
+def _complement_start(J: np.ndarray, q: int) -> np.ndarray:
+    """RREF basis mod q of the vectors over the classes that sum to 0 over
+    every coset of G', for the exponent rows J of the linear characters.
+
+    Each coset is a union of classes, and the linear characters separate the
+    cosets, so two classes share a coset exactly when their columns of J are
+    equal.  For a coset's classes c_0 < ... < c_r the rows e_(c_i) - e_(c_r),
+    i < r, have their pivots at c_i and meet no other pivot column; ordered
+    by pivot they are the space's one RREF basis.
+    """
+    k = J.shape[1]
+    labels: Dict[bytes, int] = {}
+    columns = map(bytes, np.ascontiguousarray(J.T))
+    coset = np.array([labels.setdefault(col, len(labels)) for col in columns])
+    if len(labels) != len(J):
+        raise EngineInvariantError(
+            f"the linear characters must separate |G:G'| = {len(J)} cosets, not {len(labels)}")
+    last = np.zeros(len(J), dtype=np.int64)
+    np.maximum.at(last, coset, np.arange(k))
+    pivots = np.flatnonzero(np.arange(k) != last[coset])
+    start = np.zeros((len(pivots), k), dtype=np.int64)
+    rows = np.arange(len(pivots))
+    start[rows, pivots] = 1
+    start[rows, last[coset[pivots]]] = q - 1
+    return start
 
 
 def compute_mod_table(G: FiniteGroup) -> ModTable:
@@ -237,12 +267,10 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     omega_rows = root_powers[J] * sizes % q
     if n_lin < k:
         # First orthogonality: sum_c omega_chi(K_c) conj(lambda(g_c)) = 0 for
-        # every nonlinear chi and linear lambda, so the nonlinear central
-        # characters span the null space of the conjugated linear rows.
-        start = rref_mod(nullspace_mod(root_powers[-J % e], q), q)[0]
-        if start.shape[0] != k - n_lin:
-            raise EngineInvariantError(
-                f"the nonlinear complement has dimension {start.shape[0]}, not {k - n_lin}")
+        # every nonlinear chi and linear lambda.  The linear characters are
+        # those of G/G', whose table is invertible, so the nonlinear central
+        # characters span the vectors summing to 0 over each coset of G'.
+        start = _complement_start(J, q)
         omega_rows = np.vstack([omega_rows, np.stack(_split_eigenspaces(G, C, q, start))])
     if omega_rows.shape != (k, k):
         raise EngineInvariantError(f"split gave {omega_rows.shape[0]} central characters, not {k}")

@@ -16,6 +16,7 @@ from acdlab import perm
 from acdlab.chartab import CharacterTable, galois_conjugate
 from acdlab.cyclotomic import CyclotomicValue
 from acdlab.group import ClassData, FiniteGroup, SubgroupHandle
+from acdlab.linalg_mod import nullspace_mod, rref_mod
 from acdlab.number_theory import unit_group_generators
 
 
@@ -146,6 +147,18 @@ def linear_characters_brute(G: FiniteGroup) -> np.ndarray:
     assert len(seen) == n
     assert len(chars) == n // len(derived), (len(chars), n, len(derived))
     return chars
+
+
+def complement_start_by_null_space(J: np.ndarray, e: int, omega: int, q: int) -> np.ndarray:
+    """RREF basis mod q of the null space of the conjugated linear characters.
+
+    J holds the linear characters' exponent rows on the classes and omega is
+    a primitive e-th root of unity mod q; row lambda of the matrix holds
+    omega^(-J[lambda, c]), and the null space and its RREF are taken by
+    Gaussian elimination.
+    """
+    conjugated = np.array([[pow(omega, -int(j) % e, q) for j in row] for row in J], dtype=np.int64)
+    return rref_mod(nullspace_mod(conjugated, q), q)[0]
 
 
 def power_map(G: FiniteGroup, C: ClassData, k: int) -> Tuple[int, ...]:

@@ -835,10 +835,29 @@ class TestLinearCharacters:
             "acdlab.errors.EngineInvariantError: a linear character must be a homomorphism on G/G'"
         ), proc.stderr
 
-    @pytest.mark.parametrize("text", ["S(4)", "Q8*C(26)", "F(13,3)", "A(5)"])
-    def test_one_null_space_for_the_complement(self, monkeypatch, text):
-        import acdlab.chartab as chartab
+    def test_complement_start_matches_null_space_oracle(self, cache):
+        from oracles import complement_start_by_null_space
 
+        from acdlab.group import exponent
+
+        checked = 0
+        for text in map(to_text, default_catalog()):
+            G = cache.group(text)
+            C = conjugacy_classes(G)
+            e = exponent(G)
+            J = chartab.linear_characters(G, C, e)
+            if len(J) == C.num_classes:
+                continue
+            q = choose_conductor_prime(e, G.order)
+            omega = pow(primitive_root(q), (q - 1) // e, q)
+            want = complement_start_by_null_space(J, e, omega, q)
+            got = chartab._complement_start(J, q)
+            assert got.dtype == want.dtype and np.array_equal(got, want), text
+            checked += 1
+        assert checked == 251
+
+    @pytest.mark.parametrize("text", ["S(4)", "Q8*C(26)", "F(13,3)", "A(5)"])
+    def test_no_null_space_for_the_complement(self, monkeypatch, text):
         shapes = []
         real = chartab.nullspace_mod
 
@@ -850,10 +869,76 @@ class TestLinearCharacters:
         G = build(parse_group_spec(text))
         mt = compute_mod_table(G)
         n_lin, k = mt.linear.shape
-        assert shapes[0] == (n_lin, k)
-        # The rest are per-root fallbacks inside the split, on its s by s restrictions.
-        assert all(sh[0] == sh[1] < k for sh in shapes[1:]), shapes
+        assert (n_lin, k) not in shapes
+        # Any null spaces are per-root fallbacks inside the split, on its s by s restrictions.
+        assert all(sh[0] == sh[1] < k for sh in shapes), shapes
         assert mt.degrees[:n_lin] == (1,) * n_lin and min(mt.degrees[n_lin:]) > 1
+
+    def test_cosets_merged_by_the_linear_characters_raise(self, monkeypatch):
+        import acdlab.chartab as chartab
+        from acdlab.errors import EngineInvariantError
+
+        real = chartab.linear_characters
+
+        def merged(G, C, e):
+            # S(3)'s transpositions are its odd coset; give them G''s column.
+            J = real(G, C, e)
+            J[:, J.any(axis=0)] = 0
+            return J
+
+        monkeypatch.setattr(chartab, "linear_characters", merged)
+        with pytest.raises(EngineInvariantError, match="must separate"):
+            compute_mod_table(build(parse_group_spec("S(3)")))
+
+    def test_coset_check_survives_python_O(self):
+        code = (
+            "assert False\n"
+            "import acdlab.chartab as chartab\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "real = chartab.linear_characters\n"
+            "def merged(G, C, e):\n"
+            "    J = real(G, C, e)\n"
+            "    J[:, J.any(axis=0)] = 0\n"
+            "    return J\n"
+            "chartab.linear_characters = merged\n"
+            "chartab.compute_mod_table(build(parse_group_spec('S(3)')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: "
+            "the linear characters must separate |G:G'| = 2 cosets, not 1"
+        ), proc.stderr
+
+
+class TestClassOrder:
+    """The split takes class matrices by class size, smallest first."""
+
+    def _built_sizes(self, monkeypatch, text):
+        sizes = []
+        real = chartab.class_matrix
+
+        def counted(G, C, i):
+            sizes.append(C.sizes[i])
+            return real(G, C, i)
+
+        monkeypatch.setattr(chartab, "class_matrix", counted)
+        compute_mod_table(build(parse_group_spec(text)))
+        return sizes
+
+    def test_sizes_do_not_decrease(self, monkeypatch):
+        sizes = self._built_sizes(monkeypatch, "D(200)")
+        assert sizes and sizes == sorted(sizes), sizes
+
+    # Their non-central classes of size 2 split almost nothing: taking the
+    # central classes last would build dozens of class matrices here.
+    @pytest.mark.parametrize("text", ["Q8*C(26)", "Q8*C(30)"])
+    def test_one_class_matrix(self, monkeypatch, text):
+        assert len(self._built_sizes(monkeypatch, text)) == 1
 
 
 class TestInternals:
@@ -974,8 +1059,8 @@ class TestInternals:
         J = np.array([[2, 1, 0], [0, 2, 0], [0, 0, 5]], dtype=np.int64)
         monkeypatch.setattr(chartab, "class_matrix", lambda G, C, i: J.T)
         with pytest.raises(EngineInvariantError, match="diagonalizable"):
-            chartab._split_eigenspaces(
-                None, types.SimpleNamespace(num_classes=3), 13, np.eye(3, dtype=np.int64))
+            chartab._split_eigenspaces(None, types.SimpleNamespace(num_classes=3, sizes=(1, 1, 1)),
+                                       13, np.eye(3, dtype=np.int64))
 
     def test_linalg_errors_are_typed(self):
         from acdlab.errors import DomainError, InputError
