@@ -12,9 +12,11 @@ nonlinear values are lifted to exact cyclotomic numbers through the
 root-of-unity multiplicity transform at the order m of a class
 representative g, once per Galois orbit of classes: the class of g^u, u a
 unit mod m, takes the representative's multiplicity rows with their columns
-permuted by j -> j u^-1, and each column so filled is checked against its
-modular values.  All arithmetic is integer-exact: the orthogonality check's
-float64 products only ever hold integers below 2^53.
+permuted by j -> j u^-1, and one product checks every column so filled
+against its modular values.  All arithmetic is integer-exact: every dense
+product mod q, in the split, the lift and the orthogonality check, goes
+through ``linalg_mod.matmul_mod``, whose float64 sums only ever hold
+integers below 2^53.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .group import (
 from .linalg_mod import (
     charpoly_mod,
     left_eigenspaces_mod,
+    matmul_mod,
     nullspace_mod,
     poly_roots_mod,
     rref_mod,
@@ -181,9 +184,9 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) 
             if s == 1:
                 nxt.append((W, piv))
                 continue
-            img = (W @ NT) % q
+            img = matmul_mod(W, NT, q)
             B = img[:, piv]
-            if not np.array_equal((B @ W) % q, img):
+            if not np.array_equal(matmul_mod(B, W, q), img):
                 raise EngineInvariantError("subspace must be invariant")
             f = charpoly_mod(B, q)
             roots = poly_roots_mod(f, q)
@@ -197,7 +200,7 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) 
                 t = U.shape[0]
                 if t < 1:
                     raise EngineInvariantError("an eigenvalue root must have an eigenvector")
-                Wn, pivn = rref_mod((U @ W) % q, q)
+                Wn, pivn = rref_mod(matmul_mod(U, W, q), q)
                 if Wn.shape[0] != t:
                     raise EngineInvariantError("eigenvectors must stay independent in the subspace")
                 nxt.append((Wn, list(pivn)))
@@ -417,15 +420,14 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         # integers in [0, degree], so the lift is unique once
         # q > 2*sqrt(|G|) >= 2*degree.
         power_classes = [C.class_of[x] for x in G.powers(g, m)]
+        tt = np.arange(m)
         memo = transform_memo.get(m)
         if memo is None:
-            om_m = pow(mt.omega_root, e // m, q)
-            ptab = np.array([pow(om_m, t, q) for t in range(m)], dtype=np.int64)
-            tt = np.arange(m)
+            ptab = _root_powers(pow(mt.omega_root, e // m, q), m, q)
             memo = transform_memo[m] = (ptab, ptab[(-np.outer(tt, tt)) % m])
         ptab, Wm = memo
         V = mt.chi[n_lin:, power_classes]
-        MV = ((V @ Wm) % q * pow(m, -1, q)) % q
+        MV = matmul_mod(V, Wm, q) * pow(m, -1, q) % q
         if not np.array_equal(MV.sum(axis=1), nonlinear_degrees):
             raise EngineInvariantError("multiplicities must sum to the degree")
         # rho(g^u) has eigenvalue zeta_m^(ju) with the multiplicity that
@@ -433,15 +435,22 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         # the columns of MV permuted by j -> j u^-1.  The transform at that
         # class would permute the same modular values the same way, so a
         # modular fault anywhere in the orbit fails the sum check above.
-        # Each filled column is checked against the permutation: its rows,
-        # reduced at zeta_m -> omega_m, must give chi_q at its class.
+        units, classes = [], []
         for u in range(1, m + 1):
             c2 = power_classes[u % m]
-            if lifted[c2] or gcd(u, m) != 1:
-                continue
-            rows = MV[:, np.arange(m) * pow(u, -1, m) % m]
-            if not np.array_equal(rows @ ptab % q, mt.chi[n_lin:, c2]):
-                raise EngineInvariantError(f"the lift at class {c2} must reduce to its modular values")
+            if gcd(u, m) == 1 and not lifted[c2]:
+                lifted[c2] = True
+                units.append(u)
+                classes.append(c2)
+        # The rows for u, reduced at zeta_m -> omega_m, are
+        # MV[:, j u^-1] @ ptab = MV @ ptab[j u], so one product checks every
+        # filled column of the orbit against chi_q.  It restates the inverse
+        # transform, so only an inexact product can fail it: it guards
+        # matmul_mod end to end.
+        if not np.array_equal(matmul_mod(MV, ptab[np.outer(tt, units) % m], q), mt.chi[n_lin:, classes]):
+            raise EngineInvariantError(f"the lift of class {c}'s Galois orbit must reduce to its modular values")
+        for u, c2 in zip(units, classes):
+            rows = MV[:, tt * pow(u, -1, m) % m]
             column = []
             for mults in rows:
                 key = (m, mults.tobytes())
@@ -451,7 +460,6 @@ def character_table(G: FiniteGroup) -> CharacterTable:
                     i = value_memo[key] = values.setdefault(val, len(values))
                 column.append(i)
             ids[n_lin:, c2] = column
-            lifted[c2] = True
     if nonlinear and not lifted.all():
         raise EngineInvariantError("every class must lie in the Galois orbit of a lifted class")
 
@@ -557,22 +565,10 @@ def _value_images(values: Sequence[CyclotomicValue], e: int, q: int,
     conj = np.empty((len(values), len(ts)), dtype=np.int64)
     for m, idx in by_conductor.items():
         coeffs = (np.array([values[i].coeffs for i in idx]) % q).astype(np.int64)
-        j = np.outer(ts, np.arange(coeffs.shape[1]) * (e // m)) % e
-        img[idx] = _product_mod(coeffs, pw[j], q)
-        conj[idx] = _product_mod(coeffs, pw[-j % e], q)
+        j = np.outer(np.arange(coeffs.shape[1]) * (e // m), ts) % e
+        img[idx] = matmul_mod(coeffs, pw[j], q)
+        conj[idx] = matmul_mod(coeffs, pw[-j % e], q)
     return img, conj
-
-
-def _product_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """A @ B^T mod q, for integer entries in [0, q).  The inner dimension is
-    summed in float64, in slices short enough that every partial sum is an
-    integer below 2^53, which float64 holds exactly."""
-    step = max(1, (2**53 - 1) // (q - 1) ** 2)
-    out = np.zeros((A.shape[0], B.shape[0]), dtype=np.int64)
-    for s in range(0, A.shape[1], step):
-        out += (A[:, s:s + step].astype(np.float64) @ B[:, s:s + step].T.astype(np.float64)).astype(np.int64)
-        out %= q
-    return out
 
 
 def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -610,8 +606,8 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
             img, conj = _value_images(distinct, e, q, units[lo:lo + batch])
             for i in range(img.shape[1]):
                 X, Xc = img[:, i][V], conj[:, i][V]
-                row_bad |= _product_mod(X, Xc * (sizes % q) % q, q) != row_diag
-                col_bad |= _product_mod(X.T, Xc.T, q) != col_diag
+                row_bad |= matmul_mod(X, (Xc * (sizes % q) % q).T, q) != row_diag
+                col_bad |= matmul_mod(X.T, Xc, q) != col_diag
     # A failing row pair marks its orbit: (a, b) is marked when
     # (pi_t a, pi_t b) is, for each generator t, until nothing changes.
     while perms and row_bad.any():

@@ -57,14 +57,14 @@ class FiniteGroup:
     """
 
     def __init__(self, rows: np.ndarray, index: Dict[bytes, int], right: np.ndarray,
-                 generator_indices: Tuple[int, ...], bfs_parents: Tuple[Tuple[int, int], ...]):
+                 generator_indices: Tuple[int, ...]):
         self.rows = rows
         self.degree = rows.shape[1]
         self.generator_indices = generator_indices
         self.identity = 0
-        self._bfs_parents = bfs_parents
         self._index = index
         self._right = right
+        self._found_at: Optional[np.ndarray] = None
         self._inverse: Optional[Tuple[int, ...]] = None
         self._orders: Optional[Tuple[int, ...]] = None
         self._exponent: Optional[int] = None
@@ -155,12 +155,21 @@ class FiniteGroup:
         return self._orders
 
     def word_for(self, i: int) -> Tuple[int, ...]:
-        """Generator-index word reaching element i along the closure BFS tree."""
+        """Generator-index word reaching element i along the closure BFS tree.
+
+        The closure found element x > 0 as the first product y s equal to x
+        in its (element, generator) scan, which is the order of
+        ``_right.ravel()``: x's first position there is y * ngens + s.  Every
+        element is a product (x s^-1) s, so the first positions, ranked by
+        element, are indexed by element.
+        """
+        if i and self._found_at is None:
+            self._found_at = _first_occurrences(self._right.ravel())
+        ngens = self._right.shape[1]
         word: List[int] = []
         while i != 0:
-            parent, gen = self._bfs_parents[i]
+            i, gen = divmod(int(self._found_at[i]), ngens)
             word.append(gen)
-            i = parent
         word.reverse()
         return tuple(word)
 
@@ -231,12 +240,10 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
     block = np.arange(deg, dtype=np.min_scalar_type(deg - 1))[None]
     index = {block.tobytes(): 0}
     blocks = [block]
-    parents: List[Tuple[int, int]] = [(-1, -1)]
     gen_rows = np.array(gen_perms, dtype=np.intp).reshape(-1, deg)
     ngens = len(gen_rows)
     right: List[np.ndarray] = []
     get = index.get
-    pos = 0
     # Each round multiplies the whole unprocessed tail by every generator and
     # scans the products in (element, generator) order, which is exactly the
     # order a one-element-at-a-time BFS would discover them in.
@@ -249,20 +256,18 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
             if j is None:
                 j = index[key] = len(index)
                 new_rows.append(r)
-                parents.append((pos + r // ngens, r % ngens))
                 if j >= cap:
                     raise SizeLimitError(
                         f"group order exceeds cap {cap}; raise {ORDER_CAP_ENV} to allow larger groups")
             ids.append(j)
         right.append(np.array(ids, dtype=np.int32).reshape(-1, ngens))
-        pos += len(block)
         block = prods[new_rows]
         blocks.append(block)
 
     rows = np.concatenate(blocks)
     gen_indices = tuple(index[np.asarray(g, dtype=rows.dtype).tobytes()] for g in gen_perms)
     right_table = np.concatenate(right) if ngens else np.zeros((1, 0), dtype=np.int32)
-    return FiniteGroup(rows, index, right_table, gen_indices, tuple(parents))
+    return FiniteGroup(rows, index, right_table, gen_indices)
 
 
 # -- conjugacy classes ------------------------------------------------------

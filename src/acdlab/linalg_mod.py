@@ -1,7 +1,10 @@
 """Exact linear algebra over a prime field F_q on int64 numpy arrays.
 
-q stays below ~10^6 here, so products fit comfortably in int64 and every
-routine reduces mod q after each elimination step.  Everything is
+Every dense product mod q goes through ``matmul_mod``: the operands, residues
+in [0, q), are multiplied in float64 (numpy hands that to BLAS), with the
+inner dimension cut into slices short enough that every partial sum is an
+integer below 2^53, so each product is exact; the slices are reduced and
+added in int64.  Eliminations reduce mod q after each step.  Everything is
 deterministic: pivots are chosen first-nonzero, roots are listed ascending.
 
 Left eigenspaces come from one block Krylov pass per matrix
@@ -20,6 +23,25 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InputError
+
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """A @ B mod q as int64, for a matrix A and a vector or matrix B with
+    integer entries in [0, q).
+
+    The inner dimension is summed in float64, in slices of at most
+    (2^53 - 1) // (q - 1)^2 terms.  Every term is a nonnegative integer, so
+    every partial sum of a slice is an integer below 2^53, which float64
+    holds exactly, in whatever order BLAS adds the terms.
+    """
+    if q < 2 or (q - 1) ** 2 >= 2**53:
+        raise InputError(f"matmul_mod needs 1 < q and (q - 1)^2 < 2^53, not q = {q}")
+    step = (2**53 - 1) // (q - 1) ** 2
+    out = (A[:, :step].astype(np.float64) @ B[:step].astype(np.float64)).astype(np.int64) % q
+    for s in range(step, A.shape[1], step):
+        out += (A[:, s:s + step].astype(np.float64) @ B[s:s + step].astype(np.float64)).astype(np.int64)
+        out %= q
+    return out
 
 
 def rref_mod(A: np.ndarray, q: int) -> Tuple[np.ndarray, List[int]]:
@@ -150,7 +172,7 @@ def _root_multiplicities(coeffs: np.ndarray, roots: List[int], q: int) -> np.nda
     live = np.ones(d, dtype=bool)
     binom = np.ones(n + 1, dtype=np.int64)  # C(k, j) for k = 0..n, here j = 0
     for j in range(n + 1):
-        vals = (pw[:, :n + 1 - j] @ (binom[j:] * a[j:] % q)) % q
+        vals = matmul_mod(pw[:, :n + 1 - j], binom[j:] * a[j:] % q, q)
         live &= vals == 0
         if not live.any():
             break
@@ -232,8 +254,8 @@ def left_eigenspaces_mod(
     K = np.empty((d, b, s), dtype=np.int64)
     K[0] = _block_for(B, b, q)
     for k in range(1, d):
-        K[k] = (K[k - 1] @ B) % q
-    X = ((g @ K.reshape(d, b * s)) % q).reshape(d, b, s)
+        K[k] = matmul_mod(K[k - 1], B, q)
+    X = matmul_mod(g, K.reshape(d, b * s), q).reshape(d, b, s)
     out: List[Optional[np.ndarray]] = [None] * d
     # A simple root's basis is its first nonzero row of X scaled to a leading
     # 1, for all simple roots at once; a repeated root's is the RREF of X_i.
@@ -242,12 +264,12 @@ def left_eigenspaces_mod(
         V = X[one, X[one].any(axis=2).argmax(axis=1)]
         lead = V[np.arange(one.size), (V != 0).argmax(axis=1)]
         V = V * np.array([pow(int(x), -1, q) if x else 0 for x in lead])[:, None] % q
-        good = V.any(axis=1) & ~((V @ B - lam[one, None] * V) % q).any(axis=1)
+        good = V.any(axis=1) & ~((matmul_mod(V, B, q) - lam[one, None] * V) % q).any(axis=1)
         for i, v in zip(one[good], V[good]):
             out[i] = v[None, :]
     for i in np.flatnonzero(mult > 1):
         E = rref_mod(X[i], q)[0]
-        if E.shape[0] == mult[i] and not ((E @ B - lam[i] * E) % q).any():
+        if E.shape[0] == mult[i] and not ((matmul_mod(E, B, q) - lam[i] * E) % q).any():
             out[i] = E
     return out
 

@@ -378,14 +378,6 @@ class TestOrthogonalityFaults:
             assert prod(primes) > bound
             assert all(is_prime(q) and (q - 1) % e == 0 and k * (q - 1) ** 2 < 2**53 for q in primes)
 
-    def test_product_mod_in_slices(self):
-        q = chartab._split_primes(1, 4, 1)[0]  # k = 4: products are summed four terms at a time
-        rng = np.random.default_rng(3)
-        A = rng.integers(0, q, size=(3, 10))
-        B = rng.integers(0, q, size=(4, 10))
-        want = [[sum(int(x) * int(y) for x, y in zip(a, b)) % q for b in B] for a in A]
-        assert chartab._product_mod(A, B, q).tolist() == want
-
 
 class TestGaloisAction:
     @pytest.mark.parametrize("text", ["S(4)", "A(4)", "A(5)", "D(10)", "F(7,3)", "C(8)", "SD(3,2,8)"])
@@ -673,6 +665,28 @@ class TestOrbitLift:
         chi[r, c] = (chi[r, c] + 1) % mt.q
         monkeypatch.setattr(chartab, "compute_mod_table", lambda H: dataclasses.replace(mt, chi=chi))
         with pytest.raises(EngineInvariantError, match="multiplicities must sum to the degree"):
+            character_table(G)
+
+    def test_inexact_product_fails_the_orbit_check(self, monkeypatch):
+        # The orbit check restates the inverse transform, so only an inexact
+        # product can fail it.  With the modular table fixed, the lift's only
+        # products with a non-square right operand (m x units) are the orbit
+        # checks; one entry off there must raise.
+        from acdlab.errors import EngineInvariantError
+
+        G = build(parse_group_spec("F(13,3)"))
+        mt = compute_mod_table(G)
+        real = chartab.matmul_mod
+
+        def inexact(A, B, q):
+            out = real(A, B, q)
+            if B.shape[0] != B.shape[1]:
+                out[0, -1] = (out[0, -1] + 1) % q
+            return out
+
+        monkeypatch.setattr(chartab, "compute_mod_table", lambda H: mt)
+        monkeypatch.setattr(chartab, "matmul_mod", inexact)
+        with pytest.raises(EngineInvariantError, match="Galois orbit must reduce to its modular values"):
             character_table(G)
 
     def test_planted_fault_under_python_O(self):

@@ -293,7 +293,10 @@ class TestAgainstLoopReference:
     def test_group_tables(self, G):
         elements, parents = _closure_by_loop(G.generators)
         assert list(G.elements) == elements
-        assert [G._bfs_parents[i] for i in range(G.order)] == parents
+        words = [()]
+        for parent, gen in parents[1:]:  # a BFS parent comes before its child
+            words.append(words[parent] + (gen,))
+        assert [G.word_for(i) for i in range(G.order)] == words
         index = {p: i for i, p in enumerate(G.elements)}
         assert list(G.inverse_table()) == [index[pm.inverse(p)] for p in G.elements]
         assert list(G.orders()) == [pm.order_of(p) for p in G.elements]
