@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -740,8 +740,9 @@ def table_to_json_dict(T: CharacterTable) -> Dict:
     return data
 
 
-def table_to_json(T: CharacterTable) -> str:
-    """``table_to_json_dict`` as compact JSON with sorted keys.
+def table_json_pieces(T: CharacterTable) -> Iterator[str]:
+    """The text of ``table_to_json`` in pieces: the header, then one row at a
+    time, then the closing brackets, so a writer never holds the whole text.
 
     A table has far fewer distinct values than cells, so each distinct value
     is encoded once and the rows join those texts by value id.  ``"values"``
@@ -751,5 +752,12 @@ def table_to_json(T: CharacterTable) -> str:
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     distinct, V = T.value_ids
     fragments = np.array([encode(v.to_json_dict()) for v in distinct], dtype=object)
-    rows = "],[".join(map(",".join, fragments[V].tolist()))
-    return encode(_table_header(T))[:-1] + ',"values":[[' + rows + "]]}"
+    yield encode(_table_header(T))[:-1] + ',"values":['
+    for r, ids in enumerate(V):
+        yield ("," if r else "") + "[" + ",".join(fragments[ids].tolist()) + "]"
+    yield "]}"
+
+
+def table_to_json(T: CharacterTable) -> str:
+    """``table_to_json_dict`` as compact JSON with sorted keys."""
+    return "".join(table_json_pieces(T))

@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from .audit import audit_many, has_counterexample, rows_to_jsonl
-from .chartab import character_table, table_to_json
+from .chartab import character_table, table_json_pieces
 from .constructions import build, default_catalog, to_text
 from .errors import AcdlabError, EngineInvariantError, InputError
 from .fieldvals import format_field, parse_field
@@ -54,7 +54,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "degrees":
         print(json.dumps(list(T.degrees)))
     else:
-        print(table_to_json(T))
+        for piece in table_json_pieces(T):
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -89,6 +91,8 @@ def _read_catalog(path: str) -> List[str]:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read catalog {path!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read catalog {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     texts = []
     for line in lines:
         stripped = line.split("#", 1)[0].strip()
@@ -105,8 +109,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     rows = audit_many([args.theorem], texts, jobs=args.jobs)
     report = rows_to_jsonl(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.out!r}: {exc.strerror}")
     else:
         sys.stdout.write(report)
     return 2 if has_counterexample(rows) else 0

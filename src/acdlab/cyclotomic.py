@@ -80,16 +80,6 @@ def _int64_limit(m: int) -> int:
     return (2**63 - 1) // max(1, int(np.abs(reduction_rows(m)).max()))
 
 
-@lru_cache(maxsize=None)
-def _sigma_matrix(m: int, t: int) -> np.ndarray:
-    """Matrix of the Galois map zeta_m -> zeta_m^t on power-basis coordinates."""
-    phi = euler_phi(m)
-    idx = [(j * t) % m for j in range(phi)]
-    out = reduction_rows(m)[idx]
-    out.setflags(write=False)
-    return out
-
-
 def _as_rat(x: Rat) -> Rat:
     if type(x) is int:
         return x
@@ -109,16 +99,12 @@ def _operands(m: int, M: np.ndarray, coeffs: Sequence[Rat]) -> Tuple[np.ndarray,
     return np.array(coeffs, dtype=object), M.astype(object)
 
 
-def _apply(m: int, M: np.ndarray, coeffs: Sequence[Rat]) -> List[Rat]:
-    """Exact ``coeffs @ M`` for rows M of ``reduction_rows(m)``."""
-    c, M = _operands(m, M, coeffs)
+def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
+    """Coordinates of sum(c * zeta_m^j) over the conductor-m power basis: the
+    rows of ``reduction_rows(m)`` at the exponents present, summed exactly."""
+    c, M = _operands(m, reduction_rows(m)[list(terms)], list(terms.values()))
     out = (c @ M).tolist()
     return out if c.dtype == np.int64 else [_as_rat(x) for x in out]
-
-
-def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
-    """Coordinates of sum(c * zeta_m^j) over the conductor-m power basis."""
-    return _apply(m, reduction_rows(m)[list(terms)], list(terms.values()))
 
 
 def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
@@ -263,14 +249,17 @@ class CyclotomicValue:
     # -- Galois action ---------------------------------------------------
 
     def galois(self, t: int) -> "CyclotomicValue":
-        """Image under zeta_m -> zeta_m^t; t must be a unit mod the conductor."""
+        """Image under zeta_m -> zeta_m^t; t must be a unit mod the conductor.
+
+        Each nonzero term's exponent j goes to j*t, and ``_reduce_terms``
+        reduces the sum.  An automorphism keeps the minimal conductor, so
+        there is no re-descent."""
         m = self.conductor
         if m == 1:
             return self
         if gcd(t, m) != 1:
             raise InputError(f"galois exponent {t} is not a unit mod {m}")
-        v = _apply(m, _sigma_matrix(m, t % m), self.coeffs)
-        # Galois maps preserve the minimal conductor, so no re-descent needed.
+        v = _reduce_terms(m, {j * t % m: c for j, c in enumerate(self.coeffs) if c})
         return CyclotomicValue._raw(m, tuple(v))
 
     def conjugate(self) -> "CyclotomicValue":

@@ -136,49 +136,34 @@ def charpoly_mod(A: np.ndarray, q: int) -> np.ndarray:
     return polys[n]
 
 
-def _quotients_by_roots(f: np.ndarray, lam: np.ndarray, q: int) -> np.ndarray:
-    """Row i: the coefficients (low first) of f / (t - lam[i]) for roots lam of f."""
-    n = len(f) - 1
-    Q = np.zeros((len(lam), n), dtype=np.int64)
-    acc = np.full(len(lam), f[n] % q, dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        Q[:, k] = acc
-        acc = (f[k] + lam * acc) % q
-    return Q
+def _quotients_by_roots(F: np.ndarray, lam: np.ndarray, q: int, times: int = 1
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Divide F[i] (one polynomial per root, low first) by t - lam[i] ``times``
+    times over, for every i at once; returns the last quotients as rows and
+    the remainders of the successive divisions, mod q.  Step s rewrites
+    coefficient n-1-s+p of each division p <= s, once division p-1 has left it
+    and division p has rewritten the one above, so the loop takes n steps."""
+    A = F % q
+    n = A.shape[1] - 1
+    for s in range(n):
+        lo, hi = n - 1 - s, n - s + min(s, times - 1)
+        A[:, lo:hi] = (A[:, lo:hi] + lam[:, None] * A[:, lo + 1:hi + 1]) % q
+    return A[:, times:], A[:, :times]
 
 
 def _root_multiplicities(coeffs: np.ndarray, roots: List[int], q: int) -> np.ndarray:
-    """Multiplicity of each given root of the monic polynomial (low first).
-
-    The multiplicity of lam is the least j with (D^j f)(lam) != 0, where
-    D^j f = sum_k C(k, j) a_k t^(k - j) is the j-th Hasse derivative (valid in
-    every characteristic, unlike f^(j) / j!).  Each j costs one product with
-    the table of root powers, so the work grows with the largest multiplicity
-    times the degree, not with a Python loop over the coefficients.
-    """
+    """Multiplicity of each given root of the monic polynomial (low first):
+    the number of divisions by t - lam that leave remainder zero, which holds
+    in every characteristic, also for multiplicities of q or more."""
     n = len(coeffs) - 1
     d = len(roots)
     if d == n:
         return np.ones(d, dtype=np.int64)
-    a = np.asarray(coeffs, dtype=np.int64) % q
-    lam = np.asarray(roots, dtype=np.int64)
-    pw = np.ones((d, n + 1), dtype=np.int64)
-    done = 1
-    while done <= n:
-        step = min(done, n + 1 - done)
-        pw[:, done:done + step] = pw[:, :step] * (pw[:, done - 1] * lam % q)[:, None] % q
-        done += step
-    mult = np.zeros(d, dtype=np.int64)
-    live = np.ones(d, dtype=bool)
-    binom = np.ones(n + 1, dtype=np.int64)  # C(k, j) for k = 0..n, here j = 0
-    for j in range(n + 1):
-        vals = matmul_mod(pw[:, :n + 1 - j], binom[j:] * a[j:] % q, q)
-        live &= vals == 0
-        if not live.any():
-            break
-        mult[live] += 1
-        binom = np.concatenate(([0], np.cumsum(binom)[:-1])) % q
-    return mult
+    # The other roots leave each one a multiplicity of at most n - d + 1, so
+    # its first nonzero remainder is among the first n - d + 2.
+    F = np.tile(np.asarray(coeffs, dtype=np.int64), (d, 1))
+    R = _quotients_by_roots(F, np.asarray(roots, dtype=np.int64), q, n - d + 2)[1]
+    return (R != 0).argmax(axis=1)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -250,7 +235,7 @@ def left_eigenspaces_mod(
         m = np.array([1], dtype=np.int64)
         for r in roots:
             m = (np.concatenate(([0], m)) - r * np.concatenate((m, [0]))) % q
-    g = _quotients_by_roots(m, lam, q)
+    g = _quotients_by_roots(np.broadcast_to(m, (d, len(m))), lam, q)[0]
     K = np.empty((d, b, s), dtype=np.int64)
     K[0] = _block_for(B, b, q)
     for k in range(1, d):

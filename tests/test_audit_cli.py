@@ -22,7 +22,7 @@ from acdlab.audit import (
     STATEMENT_NAMES,
     _rows_for_spec,
 )
-from acdlab.chartab import character_table, table_to_json
+from acdlab.chartab import character_table, table_to_json, table_to_json_dict
 from acdlab.constructions import FieldSemidirect, build, default_catalog, to_text
 from acdlab.errors import EngineInvariantError, InputError
 from acdlab.group import FiniteGroup
@@ -259,6 +259,30 @@ class TestCliTable:
         assert data["order"] == 21
         assert data["degrees"] == [1, 1, 1, 3, 3]
 
+    def test_json_written_one_row_at_a_time(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["table", "C(2)*S(4)"]) == 0
+        T = character_table(build(parse_group_spec("C(2)*S(4)")))
+        assert "".join(stdout.writes) == table_to_json(T) + "\n"
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        header = table_to_json_dict(T)
+        rows = header.pop("values")
+        # The header piece also opens the "values" list; a row piece carries its comma.
+        longest = max(len(encode(header)) + len(',"values":['), *(len(encode(row)) + 1 for row in rows))
+        assert max(map(len, stdout.writes)) <= longest
+
     def test_bad_spec(self, capsys):
         rc, out, err = run_cli(capsys, "table", "X(3)")
         assert rc == 1
@@ -452,3 +476,22 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
+
+    def test_catalog_not_utf8(self, tmp_path):
+        cat = tmp_path / "cat.txt"
+        cat.write_bytes(b"D(14)\n\xff\xfe\n")
+        proc = self.run_module("audit", "first", "--catalog", str(cat))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and str(cat) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_out_file_in_missing_directory(self, tmp_path):
+        cat = tmp_path / "cat.txt"
+        cat.write_text("D(14)\n")
+        out = tmp_path / "no" / "such" / "x.jsonl"
+        proc = self.run_module("audit", "first", "--catalog", str(cat), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and str(out) in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -6,8 +6,10 @@ expression in complex floats and must agree to high precision.
 """
 
 import cmath
+import inspect
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 
+from acdlab import cyclotomic
 from acdlab.cyclotomic import (
     CyclotomicValue,
     _polydiv_exact,
@@ -247,6 +250,41 @@ class TestGalois:
         assert (zeta(5) + zeta(5, 4)).is_real()
         assert not zeta(5).is_real()
         assert CyclotomicValue.rational(-3).is_real()
+
+
+class TestGaloisLargeConductors:
+    """galois against the mapped exponents canonicalized anew, at
+    conductors past the small strategy's, on sparse and dense values."""
+
+    SMALL, FRACTIONS, HUGE = (1, -1, 2, -3), (Fraction(2, 7), -5), (2**70, -2**70, 1)
+
+    @pytest.mark.parametrize("m", [16, 45, 97, 120, 210, 997])
+    @pytest.mark.parametrize("choices", [SMALL, FRACTIONS, HUGE])
+    def test_matches_exponent_map(self, m, choices):
+        rng = random.Random(m)
+        units = [t for t in range(-m, 0) if math.gcd(t, m) == 1]
+        # Fully dense Fraction values at m = 997 take seconds of exact object arithmetic.
+        sizes = (3, 60) if m > 500 and choices is self.FRACTIONS else (3, 60, m)
+        for n_terms in sizes:
+            x = CyclotomicValue(m, {rng.randrange(m): rng.choice(choices) for _ in range(n_terms)})
+            M = x.conductor
+            for t in [-1] + rng.sample(units, 2):
+                y = x.galois(t)
+                want = CyclotomicValue(M, {j * t: c for j, c in x.terms().items()})
+                assert y == want
+                assert list(map(type, y.coeffs)) == list(map(type, want.coeffs))
+                if choices is self.SMALL:
+                    assert close(numeric(y), sum(complex(c) * cmath.exp(2j * cmath.pi * j * t / M)
+                                                 for j, c in x.terms().items()))
+
+    def test_caches_are_keyed_by_the_conductor_alone(self):
+        # A cache keyed also by a Galois exponent would keep one entry per
+        # twist a table is checked under, each as large as phi(m)^2.
+        cached = {name: fn for name, fn in vars(cyclotomic).items()
+                  if hasattr(fn, "cache_info") and fn.__module__ == cyclotomic.__name__}
+        assert "reduction_rows" in cached
+        assert {name: list(inspect.signature(fn).parameters) for name, fn in cached.items()} == {
+            name: ["m"] for name in cached}
 
 
 class TestRationalExtraction:

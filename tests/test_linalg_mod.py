@@ -1,5 +1,6 @@
 """The one exact product mod q, ``matmul_mod``, against Python-integer
-products, and a guard that no other dense product mod q is written inline."""
+products, a guard that no other dense product mod q is written inline, and
+root multiplicities of polynomials with known factors."""
 
 import ast
 from math import isqrt
@@ -10,7 +11,7 @@ import pytest
 
 from acdlab import chartab, linalg_mod
 from acdlab.errors import InputError
-from acdlab.linalg_mod import matmul_mod
+from acdlab.linalg_mod import _quotients_by_roots, _root_multiplicities, matmul_mod, poly_roots_mod
 
 
 def integer_product(A, B, q):
@@ -54,6 +55,44 @@ class TestMatmulMod:
         for q in (top + 1, 2**31 - 1, 1):
             with pytest.raises(InputError, match="matmul_mod"):
                 matmul_mod(A, A, q)
+
+
+def test_pipelined_divisions_match_one_at_a_time():
+    def divide(f, lam, q):  # f / (t - lam), low first: quotient and remainder
+        quotient, acc = [0] * (len(f) - 1), f[-1]
+        for k in range(len(f) - 2, -1, -1):
+            quotient[k], acc = acc, (f[k] + lam * acc) % q
+        return quotient, acc
+
+    q, lam = 101, np.array([0, 5, 100])
+    F = np.random.default_rng(11).integers(0, q, size=(3, 9))
+    for times in (1, 2, 5, 8, 9):  # 9: the last division is of a constant
+        Q, R = _quotients_by_roots(F, lam, q, times)
+        for i in range(3):
+            f, remainders = F[i].tolist(), []
+            for _ in range(times):
+                f, r = divide(f, int(lam[i]), q)
+                remainders.append(r)
+            assert Q[i].tolist() == f and R[i].tolist() == remainders
+
+
+# Multiplicities of q or more, where f^(j)(lam) / j! is not defined mod q;
+# the quadratic factor has no root in F_q, so f does not split.
+@pytest.mark.parametrize("q, mults, quadratic", [
+    (2, {0: 3, 1: 2}, [1, 1, 1]),
+    (2, {1: 5}, [1, 1, 1]),
+    (3, {0: 3, 1: 1, 2: 7}, [1, 0, 1]),
+    (5, {0: 1, 1: 6, 2: 2, 4: 5}, [2, 0, 1]),
+    (101, {3: 1, 50: 2, 100: 1}, [99, 0, 1]),
+    (101, {7: 1, 9: 1, 60: 1}, []),
+])
+def test_root_multiplicities_of_expanded_products(q, mults, quadratic):
+    roots = sorted(mults)
+    f = np.array([1], dtype=np.int64)
+    for g in [[-lam % q, 1] for lam in roots for _ in range(mults[lam])] + [quadratic or [1]]:
+        f = np.convolve(f, g) % q
+    assert poly_roots_mod(f, q) == roots
+    assert _root_multiplicities(f, roots, q).tolist() == [mults[lam] for lam in roots]
 
 
 def test_only_matmul_mod_multiplies_matrices():
