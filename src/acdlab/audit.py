@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chartab import CharacterTable, character_table
@@ -444,6 +443,9 @@ def audit_many(names: Sequence[str], catalog_texts: Sequence[str], jobs: int = 1
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_worker(t) for t in tasks]
     else:
+        # Imported here: a one-job run never pays for multiprocessing.
+        from multiprocessing import Pool
+
         with Pool(processes=min(jobs, len(tasks))) as pool:
             chunks = pool.map(_worker, tasks, chunksize=1)
     rows = [r for chunk in chunks for r in chunk]

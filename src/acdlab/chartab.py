@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicValue, Rat
+from .cyclotomic import CyclotomicValue, Rat, _coefficient_matrix, _twist_rows
 from .errors import DomainError, EngineInvariantError, InputError
 from .group import (
     ClassData,
@@ -339,9 +339,12 @@ class CharacterTable:
         """The distinct values in first-seen order, and per cell its value's position there.
 
         The per-row data, the kernels, the Galois maps, the modular
-        orthogonality marks and the JSON writer all read this view.  A table
-        holds far fewer value objects than cells, so cells are grouped by
-        object identity first, and only one cell per object is hashed by value.
+        orthogonality marks and the JSON writer all read this view.
+        ``character_table`` stores the lift's own ids here; a table made
+        otherwise (``dataclasses.replace``) derives them from ``rows``.  A
+        table holds far fewer value objects than cells, so cells are grouped
+        by object identity first, and only one cell per object is hashed by
+        value.
         """
         cells = list(chain.from_iterable(self.rows))
         objects = dict(zip(map(id, cells), cells))
@@ -349,6 +352,23 @@ class CharacterTable:
         of_object = {i: ids.setdefault(v, len(ids)) for i, v in objects.items()}
         V = np.fromiter(map(of_object.__getitem__, map(id, cells)), dtype=np.intp, count=len(cells))
         return tuple(ids), V.reshape(len(self.rows), -1)
+
+    @cached_property
+    def conductor_blocks(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Per conductor m of the distinct values, their ids (ascending) and
+        their coordinate matrix over the conductor-m power basis, one row per
+        id: int64 when every coefficient is an int that fits, Python objects
+        otherwise (``cyclotomic._coefficient_matrix``).
+
+        The Galois maps, the real rows and the modular orthogonality marks
+        work on these matrices, a conductor at a time.
+        """
+        distinct = self.value_ids[0]
+        by_conductor: Dict[int, List[int]] = {}
+        for i, v in enumerate(distinct):
+            by_conductor.setdefault(v.conductor, []).append(i)
+        return {m: (np.array(ids), _coefficient_matrix([distinct[i].coeffs for i in ids]))
+                for m, ids in by_conductor.items()}
 
     @cached_property
     def row_conductors(self) -> Tuple[int, ...]:
@@ -363,9 +383,15 @@ class CharacterTable:
 
     @cached_property
     def real_rows(self) -> Tuple[bool, ...]:
-        """Per row, whether every value equals its complex conjugate (decided per distinct value)."""
+        """Per row, whether every value equals its complex conjugate.
+
+        Each conductor's matrix is twisted by t = -1 once, and a value is
+        real when its twisted row equals its own.
+        """
         distinct, V = self.value_ids
-        real = np.array([v.is_real() for v in distinct], dtype=bool)
+        real = np.empty(len(distinct), dtype=bool)
+        for m, (ids, C) in self.conductor_blocks.items():
+            real[ids] = (_twist_rows(m, C, -1) == C).all(axis=1)
         return tuple(real[V].all(axis=1).tolist())
 
     @cached_property
@@ -481,13 +507,23 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     if not all(G.order % d == 0 for d in degrees):
         raise EngineInvariantError("degrees must divide the group order")
     objects = np.fromiter(values, dtype=object, count=len(values))
-    return CharacterTable(
+    ids = ids[perm]
+    T = CharacterTable(
         group=G,
         classes=C,
         exponent=e,
         degrees=degrees,
-        rows=tuple(map(tuple, objects[ids[perm]].tolist())),
+        rows=tuple(map(tuple, objects[ids].tolist())),
     )
+    # Seed the value-id view with the lift's ids, renumbered to first-seen
+    # order; every value of ``values`` lies in some cell.
+    first = np.full(len(objects), ids.size)
+    np.minimum.at(first, ids.ravel(), np.arange(ids.size))
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    T.__dict__["value_ids"] = (tuple(objects[order].tolist()), renumber[ids])
+    return T
 
 
 # -- orthogonality -----------------------------------------------------------
@@ -500,23 +536,36 @@ class OrthogonalityReport:
     column_failures: Tuple[Tuple[int, int, CyclotomicValue], ...]
 
 
+def _row_ids(X: np.ndarray, C: np.ndarray, ids: np.ndarray) -> List[int]:
+    """Per row of X, the id of the equal row of C (ids[i] for row i), or -1."""
+    if X.dtype == C.dtype == np.int64:
+        own, twisted = map(np.ndarray.tobytes, C), map(np.ndarray.tobytes, X)
+    else:
+        own, twisted = map(tuple, C.tolist()), map(tuple, X.tolist())
+    lookup = dict(zip(own, ids.tolist()))
+    return [lookup.get(key, -1) for key in twisted]
+
+
 def _galois_map(T: CharacterTable, t: int) -> np.ndarray:
     """Per row r, the index of the row sigma_t(row r) under zeta -> zeta^t,
     t a unit, or -1 where the twisted row is not a row.
 
     Memoised per table and t mod the exponent (``galois_maps``).  Each
-    distinct value is twisted once; a value whose conductor does not divide
-    the exponent has no twist.  Each twisted row is looked up by the bytes
-    of its value-id row.
+    conductor's coefficient matrix (``conductor_blocks``) is twisted once by
+    ``cyclotomic._twist_rows``, and the twisted rows are matched against
+    that conductor's own rows: sigma_t keeps a value's minimal conductor.
+    A value whose conductor does not divide the exponent has no twist.  Each
+    twisted row is looked up by the bytes of its value-id row.
     """
     e = T.exponent
     t %= e
     out = T.galois_maps.get(t)
     if out is None:
         distinct, V = T.value_ids
-        position = {v: i for i, v in enumerate(distinct)}
-        twisted = np.array([-1 if e % v.conductor else position.get(v.galois(t % v.conductor), -1)
-                            for v in distinct], dtype=V.dtype)
+        twisted = np.full(len(distinct), -1, dtype=V.dtype)
+        for m, (ids, C) in T.conductor_blocks.items():
+            if e % m == 0:
+                twisted[ids] = _row_ids(_twist_rows(m, C, t), C, ids)
         lookup = {row.tobytes(): r for r, row in enumerate(V)}
         out = T.galois_maps[t] = np.array([lookup.get(row.tobytes(), -1) for row in twisted[V]])
     return out
@@ -552,31 +601,35 @@ def _split_primes(e: int, k: int, bound: int) -> List[int]:
     return primes if product > bound else []
 
 
-def _value_images(values: Sequence[CyclotomicValue], e: int, q: int,
-                  ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per value and unit t in ts, the images in F_q of the value and of its
-    complex conjugate under zeta_m -> omega^(t e/m), where omega is a fixed
-    primitive e-th root of unity mod q; one product per conductor."""
+def _value_images(T: CharacterTable, q: int, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per distinct value and unit t in ts, the images in F_q of the value
+    and of its complex conjugate under zeta_m -> omega^(t e/m), where omega is
+    a fixed primitive e-th root of unity mod q; one product per conductor's
+    int64 coefficient matrix."""
+    e, n = T.exponent, len(T.value_ids[0])
     pw = _root_powers(pow(primitive_root(q), (q - 1) // e, q), e, q)
-    by_conductor: Dict[int, List[int]] = {}
-    for i, v in enumerate(values):
-        by_conductor.setdefault(v.conductor, []).append(i)
-    img = np.empty((len(values), len(ts)), dtype=np.int64)
-    conj = np.empty((len(values), len(ts)), dtype=np.int64)
-    for m, idx in by_conductor.items():
-        coeffs = (np.array([values[i].coeffs for i in idx]) % q).astype(np.int64)
-        j = np.outer(np.arange(coeffs.shape[1]) * (e // m), ts) % e
-        img[idx] = matmul_mod(coeffs, pw[j], q)
-        conj[idx] = matmul_mod(coeffs, pw[-j % e], q)
+    img = np.empty((n, len(ts)), dtype=np.int64)
+    conj = np.empty((n, len(ts)), dtype=np.int64)
+    for m, (ids, C) in T.conductor_blocks.items():
+        j = np.outer(np.arange(C.shape[1]) * (e // m), ts) % e
+        residues = C % q
+        img[ids] = matmul_mod(residues, pw[j], q)
+        conj[ids] = matmul_mod(residues, pw[-j % e], q)
     return img, conj
 
 
 def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """k x k masks of the row pairs and the column pairs whose relation may
-    fail; None when every pair must be summed exactly."""
+    fail; None when every pair must be summed exactly: a conductor does not
+    divide the exponent, or a conductor's coefficient matrix is not int64
+    (it holds a fraction, or an integer too large for int64).
+
+    The conductor and integer tests and the l1 norms are read off
+    ``conductor_blocks``, one matrix per conductor."""
     e, k, order = T.exponent, T.num_chars, T.group.order
     distinct, V = T.value_ids
-    if any(e % v.conductor or any(type(c) is not int for c in v.coeffs) for v in distinct):
+    blocks = T.conductor_blocks
+    if any(e % m or C.dtype != np.int64 for m, (_, C) in blocks.items()):
         return None
     perms = _galois_permutations(T)
     sizes = np.asarray(T.classes.sizes, dtype=np.int64)
@@ -584,7 +637,10 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
     # sum_c |K_c| |v_a(c)|_1 |v_b(c)|_1 + |G|, and of a column sum at most
     # sum_r |v_r(c)|_1 |v_r(d)|_1 + |C_G(g_c)|; bound both by the largest
     # l1 norm in each column and in each row.
-    norms = np.array([sum(map(abs, v.coeffs)) for v in distinct])[V]
+    l1 = np.empty(len(distinct), dtype=np.int64)
+    for ids, C in blocks.values():
+        l1[ids] = np.abs(C).sum(axis=1)
+    norms = l1[V]
     bound = max(
         sum(int(w) * int(n) ** 2 for w, n in zip(sizes, norms.max(axis=0))) + order,
         sum(int(n) ** 2 for n in norms.max(axis=1)) + order // int(sizes.min()),
@@ -603,7 +659,7 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
         row_diag = np.diag(np.full(k, order % q))
         col_diag = np.diag(order // sizes % q)
         for lo in range(0, len(units), batch):
-            img, conj = _value_images(distinct, e, q, units[lo:lo + batch])
+            img, conj = _value_images(T, q, units[lo:lo + batch])
             for i in range(img.shape[1]):
                 X, Xc = img[:, i][V], conj[:, i][V]
                 row_bad |= matmul_mod(X, (Xc * (sizes % q) % q).T, q) != row_diag

@@ -106,16 +106,26 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         texts = _read_catalog(args.catalog)
     else:
         texts = [to_text(s) for s in default_catalog()]
-    rows = audit_many([args.theorem], texts, jobs=args.jobs)
+    # The --out file is opened before the audit, so a bad path fails at once.
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        raise InputError(f"cannot write report {args.out!r}: {exc.strerror}")
+    try:
+        rows = audit_many([args.theorem], texts, jobs=args.jobs)
+    except BaseException:
+        if out is not None:
+            out.close()
+        raise
     report = rows_to_jsonl(rows)
-    if args.out:
+    if out is None:
+        sys.stdout.write(report)
+    else:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report)
+            with out:
+                out.write(report)
         except OSError as exc:
             raise InputError(f"cannot write report {args.out!r}: {exc.strerror}")
-    else:
-        sys.stdout.write(report)
     return 2 if has_counterexample(rows) else 0
 
 

@@ -74,10 +74,9 @@ def reduction_rows(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _int64_limit(m: int) -> int:
-    """Largest coefficient l1 norm whose products with ``reduction_rows(m)``,
-    partial sums included, stay inside int64."""
-    return (2**63 - 1) // max(1, int(np.abs(reduction_rows(m)).max()))
+def _reduction_bound(m: int) -> int:
+    """The largest absolute entry of ``reduction_rows(m)``, at least 1."""
+    return max(1, int(np.abs(reduction_rows(m)).max()))
 
 
 def _as_rat(x: Rat) -> Rat:
@@ -94,7 +93,7 @@ def _operands(m: int, M: np.ndarray, coeffs: Sequence[Rat]) -> Tuple[np.ndarray,
     """coeffs and rows M of ``reduction_rows(m)`` as arrays of one dtype: int64
     when no partial sum of ``coeffs @ M`` can leave int64, Python objects otherwise."""
     if (M.dtype == np.int64 and all(type(c) is int for c in coeffs)
-            and sum(map(abs, coeffs)) <= _int64_limit(m)):
+            and sum(map(abs, coeffs)) * _reduction_bound(m) < 2**63):
         return np.array(coeffs, dtype=np.int64), M
     return np.array(coeffs, dtype=object), M.astype(object)
 
@@ -105,6 +104,47 @@ def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
     c, M = _operands(m, reduction_rows(m)[list(terms)], list(terms.values()))
     out = (c @ M).tolist()
     return out if c.dtype == np.int64 else [_as_rat(x) for x in out]
+
+
+def _coefficient_matrix(rows: Sequence[Sequence[Rat]]) -> np.ndarray:
+    """Equal-length coefficient rows as one matrix: int64 when every
+    coefficient is an int and no row's l1 norm leaves int64, Python objects
+    otherwise.  numpy reads a Fraction as an object and an int past int64 as
+    a float or an object, so the dtype it picks tells them apart without a
+    Python pass over the coefficients."""
+    A = np.array(rows)
+    if A.dtype == np.int64:
+        bound = (2**63 - 1) // max(1, A.shape[1])
+        if -bound <= A.min(initial=0) and A.max(initial=0) <= bound:
+            return A
+    return np.array(rows, dtype=object)
+
+
+def _twist_rows(m: int, C: np.ndarray, t: int) -> np.ndarray:
+    """sigma_t: zeta_m -> zeta_m^t on every row of C, a matrix of coordinates
+    over the conductor-m power basis as ``_coefficient_matrix`` makes it.
+
+    Coordinate j goes to exponent j*t mod m.  Below phi(m) that exponent is
+    a coordinate, and the column just moves; the other columns are
+    multiplied by the rows of ``reduction_rows(m)`` at their exponents (one
+    column at a prime m).  That product runs in float64, on BLAS, when every
+    partial sum is an integer below 2^53, so it is exact; in Python numbers
+    otherwise.  A value at its minimal conductor keeps it under sigma_t, so
+    there is no re-descent."""
+    if gcd(t, m) != 1:
+        raise InputError(f"galois exponent {t} is not a unit mod {m}")
+    to = np.arange(C.shape[1]) * (t % m) % m
+    stay = to < C.shape[1]
+    out = np.zeros_like(C)
+    out[:, to[stay]] = C[:, stay]
+    if stay.all():
+        return out
+    X, R = C[:, ~stay], reduction_rows(m)[to[~stay]]
+    if (C.dtype == R.dtype == np.int64
+            and max(-int(X.min()), int(X.max())) * _reduction_bound(m) * X.shape[1] < 2**53):
+        return out + (X.astype(np.float64) @ R.astype(np.float64)).astype(np.int64)
+    out = out.astype(object) + X.astype(object) @ R.astype(object)
+    return np.frompyfunc(_as_rat, 1, 1)(out)
 
 
 def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
@@ -251,16 +291,13 @@ class CyclotomicValue:
     def galois(self, t: int) -> "CyclotomicValue":
         """Image under zeta_m -> zeta_m^t; t must be a unit mod the conductor.
 
-        Each nonzero term's exponent j goes to j*t, and ``_reduce_terms``
-        reduces the sum.  An automorphism keeps the minimal conductor, so
-        there is no re-descent."""
+        The coordinate row is twisted by ``_twist_rows``, the routine that
+        table readers run on whole coefficient matrices."""
         m = self.conductor
         if m == 1:
             return self
-        if gcd(t, m) != 1:
-            raise InputError(f"galois exponent {t} is not a unit mod {m}")
-        v = _reduce_terms(m, {j * t % m: c for j, c in enumerate(self.coeffs) if c})
-        return CyclotomicValue._raw(m, tuple(v))
+        v = _twist_rows(m, _coefficient_matrix([self.coeffs]), t)[0]
+        return CyclotomicValue._raw(m, tuple(v.tolist()))
 
     def conjugate(self) -> "CyclotomicValue":
         return self.galois(self.conductor - 1) if self.conductor > 1 else self

@@ -442,6 +442,18 @@ class TestCliAudit:
         assert json.loads(out.strip())["verdict"] == "COUNTEREXAMPLE"
 
 
+    def test_out_path_checked_before_the_audit(self, capsys, monkeypatch, tmp_path):
+        def forbidden(*a, **k):
+            raise AssertionError("the audit ran before --out was opened")
+
+        monkeypatch.setattr(cli, "audit_many", forbidden)
+        out = tmp_path / "no" / "such" / "x.jsonl"
+        rc, stdout, err = run_cli(capsys, "audit", "all", "--out", str(out))
+        assert rc == 1
+        assert stdout == ""
+        assert err == f"error: cannot write report {str(out)!r}: No such file or directory\n"
+
+
 class TestCliParsing:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -495,3 +507,10 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and str(out) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # One-job runs never start a pool, so they should not import one.
+        code = "import sys, acdlab.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

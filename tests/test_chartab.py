@@ -619,6 +619,76 @@ class TestDistinctValueWork:
         assert T.real_rows == (True, True, False)
 
 
+class TestBulkValueView:
+    """The lift's seeded value ids and the per-conductor coefficient
+    matrices against the views derived from the rows alone."""
+
+    SAMPLE = ["S(4)", "A(5)", "F(7,3)", "Q8*C(26)", "C(113)", "SD(5,3,124)", "C(2)*D(30)", "F(13,3)"]
+
+    @pytest.mark.parametrize("text", SAMPLE)
+    def test_seeded_ids_equal_derived(self, cache, text):
+        T = cache.table(text)
+        assert "value_ids" in T.__dict__
+        derived = dataclasses.replace(T)
+        assert "value_ids" not in derived.__dict__
+        (seeded, S), (again, D) = T.value_ids, derived.value_ids
+        assert seeded == again
+        assert list(map(type, seeded)) == list(map(type, again))
+        assert S.dtype == D.dtype and np.array_equal(S, D)
+
+    def test_seeded_ids_over_the_catalog(self, cache):
+        for text in map(to_text, default_catalog()):
+            if cache.group(text).order > 200:
+                continue
+            T = cache.table(text)
+            derived = dataclasses.replace(T)
+            assert T.value_ids[0] == derived.value_ids[0], text
+            assert np.array_equal(T.value_ids[1], derived.value_ids[1]), text
+
+    @pytest.mark.parametrize("text", SAMPLE)
+    def test_blocks_hold_every_value(self, cache, text):
+        T = cache.table(text)
+        distinct = T.value_ids[0]
+        seen = []
+        for m, (ids, C) in T.conductor_blocks.items():
+            assert C.dtype == np.int64
+            assert [distinct[i].conductor for i in ids] == [m] * len(ids)
+            assert C.tolist() == [list(distinct[i].coeffs) for i in ids]
+            seen += ids.tolist()
+        assert sorted(seen) == list(range(len(distinct)))
+
+    @pytest.mark.parametrize("text", SAMPLE)
+    def test_real_rows_match_is_real(self, cache, text):
+        T = cache.table(text)
+        # A planted real value, and a planted non-real value with a fraction.
+        for bad in (T, planted(T, {(0, 1): lambda v: zeta(5) + zeta(5, 4)}),
+                    planted(T, {(1, 1): lambda v: v + Fraction(1, 3) * zeta(8)})):
+            assert bad.real_rows == tuple(all(v.is_real() for v in row) for row in bad.rows)
+
+    def test_fraction_takes_the_exact_route(self, cache, monkeypatch):
+        bad = planted(cache.table("A(4)"), {(1, 1): lambda v: v + Fraction(1, 2)})
+        assert any(C.dtype == object for _, C in bad.conductor_blocks.values())
+        monkeypatch.setattr(chartab, "_split_primes", lambda *a: pytest.fail("modular route taken"))
+        assert not verify_orthogonality(bad).ok
+        assert_report_matches_oracle(bad)
+
+    def test_no_per_value_twist_or_type_scan(self):
+        # Table readers twist whole coefficient matrices; a per-value
+        # .galois/.conjugate/.is_real call or a type(c) scan over the
+        # coefficients would bring the per-value layer back.
+        import ast
+        from pathlib import Path
+
+        tree = ast.parse(Path(chartab.__file__).read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        per_value = [f"{node.lineno}: .{node.func.attr}" for node in calls
+                     if isinstance(node.func, ast.Attribute)
+                     and node.func.attr in ("galois", "conjugate", "is_real")]
+        type_scans = [f"{node.lineno}: type()" for node in calls
+                      if isinstance(node.func, ast.Name) and node.func.id == "type"]
+        assert per_value + type_scans == []
+
+
 class TestOrbitLift:
     """The lift transforms one class per Galois orbit of classes and fills
     the others by permuting the representative's multiplicity rows."""

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 from acdlab import cyclotomic
 from acdlab.cyclotomic import (
     CyclotomicValue,
+    _coefficient_matrix,
     _polydiv_exact,
+    _twist_rows,
     cyclotomic_poly,
     zeta,
 )
@@ -285,6 +288,90 @@ class TestGaloisLargeConductors:
         assert "reduction_rows" in cached
         assert {name: list(inspect.signature(fn).parameters) for name, fn in cached.items()} == {
             name: ["m"] for name in cached}
+
+
+class TestTwistRows:
+    """_twist_rows on whole coefficient matrices against each row's
+    exponent map canonicalized anew, with the coefficient types kept."""
+
+    CHOICES = {
+        "small": (1, -1, 2, -3),
+        "fraction": (Fraction(2, 7), Fraction(-1, 2), 3),
+        "huge": (2**70, -2**70, 1),
+        "mixed": (Fraction(5, 3), 2**70, -4),
+    }
+
+    @pytest.mark.parametrize("m", [7, 997, 27, 128, 45, 105, 120])
+    @pytest.mark.parametrize("kind", sorted(CHOICES))
+    def test_rows_match_exponent_map(self, m, kind):
+        rng = random.Random(m)
+        choices = self.CHOICES[kind]
+        rows = []
+        while len(rows) < 5:
+            x = CyclotomicValue(m, {rng.randrange(m): rng.choice(choices) for _ in range(rng.choice((2, 5, 40)))})
+            if x.conductor == m:
+                rows.append(x)
+        C = _coefficient_matrix([x.coeffs for x in rows])
+        assert (C.dtype == np.int64) == (kind == "small")
+        units = [t for t in range(-m, m) if math.gcd(t, m) == 1]
+        for t in [-1, 1] + rng.sample(units, 3):
+            got = _twist_rows(m, C, t)
+            assert got.shape == C.shape
+            for x, row in zip(rows, got.tolist()):
+                want = CyclotomicValue(m, {j * t: c for j, c in x.terms().items()})
+                assert tuple(row) == want.coeffs, (m, t, x)
+                assert list(map(type, row)) == list(map(type, want.coeffs))
+
+    @pytest.mark.parametrize("t", [-1, 52, 104])
+    def test_float_products_stay_below_2_to_53(self, t):
+        # reduction_rows(105) holds a 2.  Twisting big*(z - z^2) sends n of
+        # the 48 columns through the reduction rows, so the float64 product
+        # is exact while 2 n big < 2^53; from there on the twist takes
+        # Python numbers, also where the int64 matrix itself fits.
+        n = sum(j * t % 105 >= 48 for j in range(48))
+        limit = -(-2**53 // (2 * n))
+        for big, exact_route in ((limit - 1, False), (limit, True), ((2**63 - 1) // 48, True)):
+            x = CyclotomicValue(105, {1: big, 2: -big})
+            C = _coefficient_matrix([x.coeffs])
+            assert C.dtype == np.int64
+            got = _twist_rows(105, C, t)
+            assert (got.dtype == object) == exact_route
+            assert tuple(got[0].tolist()) == CyclotomicValue(105, {t: big, 2 * t: -big}).coeffs
+
+    def test_coefficient_matrix_detects_non_integers(self):
+        # np.array([[1, Fraction(1, 2)]], dtype=np.int64) is [[1, 0]], and
+        # 2^63 alone reads as a float.
+        assert _coefficient_matrix([(1, Fraction(1, 2))]).tolist() == [[1, Fraction(1, 2)]]
+        assert _coefficient_matrix([(1, 2**63)]).tolist() == [[1, 2**63]]
+        assert _coefficient_matrix([(1, -2**63)]).dtype == object
+        assert _coefficient_matrix([(1, 2), (3, -4)]).dtype == np.int64
+
+    def test_galois_keeps_its_contract(self):
+        x = CyclotomicValue(12, {1: Fraction(1, 2), 5: 3})
+        with pytest.raises(InputError):
+            x.galois(3)
+        with pytest.raises(InputError):
+            _twist_rows(12, _coefficient_matrix([x.coeffs]), 2)
+        r = CyclotomicValue.rational(Fraction(3, 4))
+        assert r.galois(6) is r
+        assert x.galois(5) == CyclotomicValue(12, {5: Fraction(1, 2), 25: 3})
+
+    def test_prime_conductor_moves_all_but_one_column(self, monkeypatch):
+        # At a prime p the exponents j*t, j < p - 1, miss p - 1 exactly once,
+        # so one row of reduction_rows(p) is read.
+        seen = []
+        real = cyclotomic.reduction_rows
+        cyclotomic._reduction_bound(1999)  # cached before reduction_rows is wrapped
+
+        class Rows:
+            def __getitem__(self, index):
+                seen.append(len(index))
+                return real(1999)[index]
+
+        monkeypatch.setattr(cyclotomic, "reduction_rows", lambda m: Rows())
+        C = np.arange(3 * 1998, dtype=np.int64).reshape(3, 1998)
+        _twist_rows(1999, C, 2)
+        assert seen == [1]
 
 
 class TestRationalExtraction:
