@@ -125,7 +125,6 @@ class _Bundle:
         self.G = build(self.spec)
         self._T: Optional[CharacterTable] = None
         self._acd: Dict[tuple, Fraction] = {}
-        self._solvable: Optional[bool] = None
 
     @property
     def T(self) -> CharacterTable:
@@ -136,11 +135,6 @@ class _Bundle:
     @property
     def order(self) -> int:
         return self.G.order
-
-    def solvable(self) -> bool:
-        if self._solvable is None:
-            self._solvable = is_solvable(self.G)
-        return self._solvable
 
     def pnil(self, p: int) -> bool:
         return is_p_nilpotent(self.G, p, want_certificate=False)[0]
@@ -252,7 +246,7 @@ def _verdict(below: bool, at_bound: bool, pnil: bool, hyps_ok: bool) -> str:
 def _nilpotence_rows(bundle: _Bundle, v: _Variant) -> List[AuditRow]:
     if v.odd_order_required and bundle.order % 2 == 0:
         return []
-    note = _NOT_SOLVABLE if v.solvable_required and not bundle.solvable() else ""
+    note = _NOT_SOLVABLE if v.solvable_required and not is_solvable(bundle.G) else ""
     rows = []
     for p in _select_primes(v.primes, bundle.order):
         bnd = v.bound(p)

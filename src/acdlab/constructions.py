@@ -279,7 +279,7 @@ def _semidirect_group(p: int, n: int, matrices: Sequence[Sequence[Sequence[int]]
     for mat in matrices:
         M = np.array([[x % p for x in row] for row in mat], dtype=np.int64)
         gens.append(vecs @ M.T % p @ powers)
-    return generate_group([g.tolist() for g in gens], degree=p**n, cap=cap)
+    return generate_group(gens, degree=p**n, cap=cap)
 
 
 _Q8_I = (2, 3, 1, 0, 7, 6, 4, 5)

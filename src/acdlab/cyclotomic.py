@@ -98,12 +98,11 @@ def _operands(m: int, M: np.ndarray, coeffs: Sequence[Rat]) -> Tuple[np.ndarray,
     return np.array(coeffs, dtype=object), M.astype(object)
 
 
-def _reduce_terms(m: int, terms: Dict[int, Rat]) -> List[Rat]:
+def _reduce_terms(m: int, terms: Dict[int, int]) -> List[int]:
     """Coordinates of sum(c * zeta_m^j) over the conductor-m power basis: the
     rows of ``reduction_rows(m)`` at the exponents present, summed exactly."""
     c, M = _operands(m, reduction_rows(m)[list(terms)], list(terms.values()))
-    out = (c @ M).tolist()
-    return out if c.dtype == np.int64 else [_as_rat(x) for x in out]
+    return (c @ M).tolist()
 
 
 def _coefficient_matrix(rows: Sequence[Sequence[Rat]]) -> np.ndarray:
@@ -196,7 +195,13 @@ def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
 
     if m == 1:
         return 1, (terms[0],)
-    v = _reduce_terms(m, terms)
+    # The coordinates and the descent tests below are linear in the terms, so
+    # they run on the terms times their common denominator d, in integers,
+    # and are divided by d after.
+    d = lcm(*(c.denominator for c in terms.values()))
+    scaled = _reduce_terms(m, terms if d == 1 else
+                           {j: c.numerator * (d // c.denominator) for j, c in terms.items()})
+    v = scaled if d == 1 else [_as_rat(Fraction(x, d)) for x in scaled]
     if all(c == 0 for c in v[1:]):
         return 1, (v[0],)
     if len(terms) == 1:
@@ -217,11 +222,14 @@ def _canonical(m: int, raw: Mapping[int, Rat]) -> Tuple[int, Tuple[Rat, ...]]:
                 return _canonical(n, dict(enumerate(v[::p])))
         elif n > 1:  # n = 1 is the rational case above
             j = np.arange(len(v))
-            c, R = _operands(n, reduction_rows(n)[j * pow(p, -1, n) % n], v)
+            c, R = _operands(n, reduction_rows(n)[j * pow(p, -1, n) % n], scaled)
             Y = np.zeros((p, R.shape[1]), dtype=c.dtype)
             np.add.at(Y, j * pow(n, -1, p) % p, c[:, None] * R)
             if (Y[2:] == Y[1]).all():
-                return _canonical(n, dict(enumerate((Y[0] - Y[1]).tolist())))
+                diff = (Y[0] - Y[1]).tolist()
+                if d > 1:
+                    diff = [_as_rat(Fraction(y, d)) for y in diff]
+                return _canonical(n, dict(enumerate(diff)))
     return m, tuple(v)
 
 
@@ -246,10 +254,6 @@ class CyclotomicValue:
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicValue is immutable")
-
-    @classmethod
-    def from_terms(cls, conductor: int, terms: Mapping[int, Rat]) -> "CyclotomicValue":
-        return cls(conductor, terms)
 
     @classmethod
     def rational(cls, x: Rat) -> "CyclotomicValue":

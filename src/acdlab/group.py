@@ -2,9 +2,13 @@
 
 A group is a canonically ordered array of permutation image rows:
 breadth-first closure from the sorted generator list, identity at index 0.
-Every element is known by its index, all operations below are pure functions
-of the group object, and results are cached on the instance, so a group can
-be shared freely between computations (and across forked worker processes).
+Every element is known by its index and its permutation by its row
+``G.rows[i]``; there is no other element representation.  A permutation
+from outside the program enters as a sequence of images through
+:func:`generate_group` or :meth:`FiniteGroup.index_of`, which check it.  All
+operations below are pure functions of the group object, and results are
+cached on the instance, so a group can be shared freely between computations
+(and across forked worker processes).
 
 ``generate_group`` creates the rows and their ``bytes -> index`` dict, and
 keeps the index of every product x s of an element and a generator that its
@@ -23,10 +27,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import perm as pm
 from .errors import DomainError, EngineInvariantError, InputError, SizeLimitError
 from .number_theory import is_prime, p_prime_part
-from .perm import Perm
 
 DEFAULT_ORDER_CAP = 20000
 ORDER_CAP_ENV = "ACDLAB_ORDER_CAP"
@@ -82,42 +84,12 @@ class FiniteGroup:
     def order(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def elements(self) -> Tuple[Perm, ...]:
-        """Every element as an image tuple, built afresh on each access."""
-        return tuple(map(tuple, self.rows.tolist()))
-
-    @property
-    def generators(self) -> Tuple[Perm, ...]:
-        return tuple(tuple(self.rows[i].tolist()) for i in self.generator_indices)
-
     def index_of(self, p: Sequence[int]) -> int:
-        row = np.asarray(p)
-        if not (row.shape == (self.degree,) and row.dtype.kind in "iu"
-                and row.min() >= 0 and row.max() < self.degree):
-            raise InputError(f"{tuple(p)} is not a permutation of 0..{self.degree - 1}")
+        """Index of a permutation given by its images, checked to act on this group's points."""
+        row = _image_row(p)
+        if len(row) != self.degree:
+            raise InputError(f"{tuple(row.tolist())} is not a permutation of 0..{self.degree - 1}")
         return int(self.index_rows(row[None])[0])
-
-    def __contains__(self, p: Sequence[int]) -> bool:
-        try:
-            self.index_of(p)
-        except InputError:
-            return False
-        return True
-
-    def mul(self, i: int, j: int) -> int:
-        return self._index[self.rows[i][self.rows[j]].tobytes()]
-
-    def inv(self, i: int) -> int:
-        return self.inverse_table()[i]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """Index of g x g^-1."""
-        pg = self.rows[g]
-        return self._index[pg[self.rows[x][np.argsort(pg)]].tobytes()]
-
-    def power(self, i: int, k: int) -> int:
-        return self.index_of(pm.power(tuple(self.rows[i].tolist()), k))
 
     def powers(self, i: int, m: int) -> List[int]:
         """Indices of g^0, g^1, ..., g^(m-1) for g = element i."""
@@ -211,6 +183,21 @@ def _perm_orders(rows: np.ndarray) -> np.ndarray:
     return np.lcm.reduce(lengths, axis=1)
 
 
+def _image_row(p: Sequence[int]) -> np.ndarray:
+    """p as a 1-D integer array, checked to be the image row of a permutation of 0..n-1."""
+    try:
+        row = np.asarray(p)
+    except (TypeError, ValueError):  # ragged nesting
+        raise InputError(f"a permutation is a sequence of integer images, got {p!r}") from None
+    if row.ndim != 1:
+        raise InputError(f"a permutation is one row of images, got an array of shape {row.shape}")
+    if not len(row):
+        raise InputError("a permutation needs at least one point")
+    if row.dtype.kind not in "iu" or not np.array_equal(np.sort(row), np.arange(len(row))):
+        raise InputError(f"not a permutation of 0..{len(row) - 1}: {tuple(row.tolist())}")
+    return row
+
+
 def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = None,
                    cap: Optional[int] = None) -> FiniteGroup:
     """Breadth-first closure of the sorted generator list.
@@ -220,7 +207,9 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
     generator in sorted order.  Raises SizeLimitError past the order cap.
     """
     cap = resolve_order_cap(cap)
-    gen_perms = sorted({pm.validate(g) for g in gens})
+    # Sorted as tuples of Python ints, whatever container held each row: the
+    # order fixes the canonical element order.
+    gen_perms = sorted({tuple(_image_row(g).tolist()) for g in gens})
     if gen_perms:
         degrees = {len(g) for g in gen_perms}
         if len(degrees) != 1:
@@ -234,7 +223,7 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
             raise InputError("degree must be at least 1")
     if deg > MAX_DEGREE:
         raise InputError(f"degree {deg} exceeds the limit of {MAX_DEGREE} points")
-    ident = pm.identity(deg)
+    ident = tuple(range(deg))
     gen_perms = [g for g in gen_perms if g != ident]
 
     block = np.arange(deg, dtype=np.min_scalar_type(deg - 1))[None]
@@ -561,7 +550,7 @@ def point_stabilizer(G: FiniteGroup, point: int) -> SubgroupHandle:
 def subgroup_as_group(G: FiniteGroup, H: SubgroupHandle) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Rebuild a subgroup as a standalone group; also return the index map back into G."""
     gens = _closure(G, H.indices)[0]  # type: ignore[index]
-    sub = generate_group(G.rows[gens].tolist(), degree=G.degree, cap=G.order)
+    sub = generate_group(G.rows[gens], degree=G.degree, cap=G.order)
     return sub, tuple(G.index_rows(sub.rows).tolist())
 
 

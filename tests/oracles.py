@@ -12,7 +12,6 @@ from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from acdlab import perm
 from acdlab.chartab import CharacterTable, galois_conjugate
 from acdlab.cyclotomic import CyclotomicValue
 from acdlab.group import ClassData, FiniteGroup, SubgroupHandle
@@ -20,9 +19,67 @@ from acdlab.linalg_mod import nullspace_mod, rref_mod
 from acdlab.number_theory import unit_group_generators
 
 
+# -- permutations as image tuples: p[i] is the image of point i --------------
+
+Perm = Tuple[int, ...]
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """p after q: (p * q)(i) = p[q[i]]."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def cycles(p: Perm) -> List[Perm]:
+    """Nontrivial cycles, each starting at its smallest point, sorted by that point."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = p[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def order_of(p: Perm) -> int:
+    """Least n >= 1 with p^n = identity (lcm of cycle lengths)."""
+    return math.lcm(1, *map(len, cycles(p)))
+
+
+def power(p: Perm, k: int) -> Perm:
+    """p^k for any integer k, computed cycle-wise."""
+    out = list(range(len(p)))
+    for cyc in cycles(p):
+        for idx, pt in enumerate(cyc):
+            out[pt] = cyc[(idx + k) % len(cyc)]
+    return tuple(out)
+
+
+def elements(G: FiniteGroup) -> List[Perm]:
+    """Every element of G as an image tuple, in G's element order."""
+    return list(map(tuple, G.rows.tolist()))
+
+
+# -- groups --------------------------------------------------------------------
+
+
 def _cayley_table(G: FiniteGroup) -> List[List[int]]:
     """Row a, column b holds the index of a*b, composed from the permutations."""
-    E = np.asarray(G.elements, dtype=np.int64)
+    E = G.rows.astype(np.int64)
     index = {row.tobytes(): i for i, row in enumerate(E)}
     return [[index[row.tobytes()] for row in E[a][E]] for a in range(G.order)]
 
@@ -93,8 +150,9 @@ def p_nilpotent_brute(G: FiniteGroup, p: int) -> bool:
 
 
 def subgroup_is_normal_brute(G: FiniteGroup, H: SubgroupHandle) -> bool:
-    members = H.member_set()
-    return all(G.conjugate(g, h) in members for h in members for g in range(G.order))
+    E = elements(G)
+    members = {E[h] for h in H.indices}
+    return all(compose(g, compose(h, inverse(g))) in members for h in members for g in E)
 
 
 def linear_characters_brute(G: FiniteGroup) -> np.ndarray:
@@ -163,7 +221,7 @@ def complement_start_by_null_space(J: np.ndarray, e: int, omega: int, q: int) ->
 
 def power_map(G: FiniteGroup, C: ClassData, k: int) -> Tuple[int, ...]:
     """Map class(g) to class(g^k), each representative's permutation raised on its own."""
-    return tuple(C.class_of[G.index_of(perm.power(tuple(G.rows[r].tolist()), k))] for r in C.reps)
+    return tuple(C.class_of[G.index_of(power(tuple(G.rows[r].tolist()), k))] for r in C.reps)
 
 
 def galois_class_orbits(G: FiniteGroup, C: ClassData, e: int) -> List[FrozenSet[int]]:

@@ -175,7 +175,7 @@ class TestKnownTables:
         cr = class_index(G, C, size=5)
         rot = [c for c in range(4) if C.sizes[c] == 2]
         g = C.reps[rot[0]]
-        other = C.class_of[G.power(g, 2)]
+        other = C.class_of[G.powers(g, 3)[2]]
         assert other == rot[1]
         alpha = zeta(5) + zeta(5, 4)
         beta = zeta(5, 2) + zeta(5, 3)

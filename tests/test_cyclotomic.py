@@ -44,7 +44,7 @@ def close(a: complex, b: complex) -> bool:
 
 # Sparse exponent combinations over a fixed small conductor.
 small_values = st.builds(
-    lambda m, pairs: CyclotomicValue.from_terms(m, dict(pairs)),
+    lambda m, pairs: CyclotomicValue(m, dict(pairs)),
     st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15]),
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=14), st.integers(min_value=-3, max_value=3)),
@@ -67,7 +67,7 @@ class TestCanonicalForm:
 
     def test_conductor_descends_to_subfield(self):
         # zeta_12 + zeta_12^5 lies in Q(zeta_3): it equals zeta_3... check numerically.
-        x = CyclotomicValue.from_terms(12, {0: 1, 4: 1})
+        x = CyclotomicValue(12, {0: 1, 4: 1})
         assert x.conductor == 3
         assert close(numeric(x), numeric(zeta(12) ** 0 + zeta(3)))
 
@@ -98,6 +98,29 @@ class TestCanonicalForm:
         # minimal polynomial x^6 + x^3 + 1.
         x = zeta(9, 6)
         assert close(numeric(x), cmath.exp(2j * cmath.pi * 6 / 9))
+
+    @pytest.mark.parametrize("descends", [False, True], ids=["stays", "descends"])
+    def test_fraction_terms_match_scaled_integer_terms(self, descends):
+        # The reduction and the descent tests run on the terms times their
+        # common denominator, in integers, and divide by it after.
+        rng = random.Random(1001)
+        terms = {rng.randrange(1001): rng.choice((Fraction(2, 7), Fraction(-1, 2), 3))
+                 for _ in range(40)}
+        if descends:
+            # Exponents 7j lie in Q(zeta_143).  Adding c (1 + zeta_7 + ... +
+            # zeta_7^6) = 0 brings in exponents prime to 7, so only the
+            # p || m test at p = 7 finds the subfield.
+            terms = {7 * j % 1001: c for j, c in terms.items()}
+            for b in range(7):
+                terms[143 * b] = terms.get(143 * b, 0) + Fraction(-1, 2)
+        x = CyclotomicValue(1001, terms)
+        scaled = CyclotomicValue(1001, {j: 14 * c for j, c in terms.items()})
+        assert all(type(c) is int for c in scaled.coeffs)
+        y = scaled * Fraction(1, 14)
+        assert x.conductor == y.conductor == (143 if descends else 1001)
+        assert x.coeffs == y.coeffs
+        assert list(map(type, x.coeffs)) == list(map(type, y.coeffs))
+        assert any(type(c) is Fraction for c in x.coeffs)
 
     def test_cyclotomic_poly_known(self):
         assert cyclotomic_poly(1) == (-1, 1)
@@ -402,7 +425,7 @@ class TestInputValidation:
         with pytest.raises(InputError):
             zeta(0)
         with pytest.raises(InputError):
-            CyclotomicValue.from_terms(-3, {0: 1})
+            CyclotomicValue(-3, {0: 1})
 
     def test_division_by_zero(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,9 @@
 """Permutation group core: closure, classes, subgroup lattice, p-nilpotence."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import acdlab.perm as pm
 from acdlab.constructions import (
     Alternating,
     Cyclic,
@@ -17,6 +17,7 @@ from acdlab.constructions import (
 from acdlab.errors import InputError, SizeLimitError
 from acdlab.group import (
     _closure,
+    _products,
     center,
     conjugacy_classes,
     derived_series,
@@ -36,55 +37,61 @@ from acdlab.group import (
 )
 from acdlab.number_theory import p_prime_part, prime_divisors
 
-from oracles import all_normal_subgroups, p_nilpotent_brute, power_map, subgroup_is_normal_brute
+from oracles import (
+    all_normal_subgroups,
+    compose,
+    elements,
+    inverse,
+    order_of,
+    p_nilpotent_brute,
+    power,
+    power_map,
+    subgroup_is_normal_brute,
+)
 
 perms_of_5 = st.permutations(list(range(5)))
+IDENTITY_5 = tuple(range(5))
+
+
+def _mul(G):
+    """(i, j) -> index of element i times element j, composed as tuples by the oracle."""
+    E = elements(G)
+    return lambda i, j: G.index_of(compose(E[i], E[j]))
 
 
 class TestPermOps:
+    """The oracle's tuple arithmetic, the reference for the group tests below."""
+
     @given(perms_of_5, perms_of_5, perms_of_5)
     def test_composition_axioms(self, a, b, c):
-        a, b, c = pm.validate(a), pm.validate(b), pm.validate(c)
-        e = pm.identity(5)
-        assert pm.compose(pm.compose(a, b), c) == pm.compose(a, pm.compose(b, c))
-        assert pm.compose(a, e) == a
-        assert pm.compose(e, a) == a
-        assert pm.compose(a, pm.inverse(a)) == e
+        a, b, c = tuple(a), tuple(b), tuple(c)
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert compose(a, IDENTITY_5) == a
+        assert compose(IDENTITY_5, a) == a
+        assert compose(a, inverse(a)) == IDENTITY_5
 
     @given(perms_of_5, st.integers(min_value=-6, max_value=6))
     def test_power(self, a, k):
-        a = pm.validate(a)
-        want = pm.identity(5)
-        step = a if k >= 0 else pm.inverse(a)
+        a = tuple(a)
+        want = IDENTITY_5
+        step = a if k >= 0 else inverse(a)
         for _ in range(abs(k)):
-            want = pm.compose(want, step)
-        assert pm.power(a, k) == want
+            want = compose(want, step)
+        assert power(a, k) == want
 
     @given(perms_of_5)
     def test_order(self, a):
-        a = pm.validate(a)
-        k = pm.order_of(a)
-        assert pm.power(a, k) == pm.identity(5)
-        assert all(pm.power(a, j) != pm.identity(5) for j in range(1, k))
-
-    def test_validate_rejects_garbage(self):
-        with pytest.raises(InputError):
-            pm.validate([0, 0, 1])
-        with pytest.raises(InputError):
-            pm.validate([0, 2])
-        with pytest.raises(InputError):
-            pm.validate([])
-
-    def test_cycle_format(self):
-        assert pm.format_cycles(pm.validate([1, 0, 2])) == "(0 1)"
-        assert pm.format_cycles(pm.identity(3)) == "()"
+        a = tuple(a)
+        k = order_of(a)
+        assert power(a, k) == IDENTITY_5
+        assert all(power(a, j) != IDENTITY_5 for j in range(1, k))
 
 
 class TestGenerateGroup:
     def test_cyclic_from_single_cycle(self):
         G = generate_group([[1, 2, 3, 4, 5, 0]])
         assert G.order == 6
-        assert G.orders()[G.index_of(pm.validate([1, 2, 3, 4, 5, 0]))] == 6
+        assert G.orders()[G.index_of([1, 2, 3, 4, 5, 0])] == 6
 
     def test_symmetric_from_coxeter_gens(self):
         G = generate_group([[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]])
@@ -92,21 +99,25 @@ class TestGenerateGroup:
 
     def test_closure_property(self):
         G = build(Dihedral(5))
+        mul = _mul(G)
         idx = set(range(G.order))
-        assert {G.mul(i, j) for i in idx for j in idx} == idx
-        assert {G.inv(i) for i in idx} == idx
+        assert {mul(i, j) for i in idx for j in idx} == idx
+        assert set(G.inverse_table()) == idx
 
     def test_identity_is_element_zero(self):
         G = build(Symmetric(3))
-        assert G.elements[0] == pm.identity(G.degree)
-        for i in range(G.order):
-            assert G.mul(0, i) == i == G.mul(i, 0)
+        assert G.rows[0].tolist() == list(range(G.degree))
+        every = list(range(G.order))
+        assert _products(G, [0], every)[0].tolist() == every == _products(G, every, [0])[:, 0].tolist()
 
     def test_mul_matches_composition(self):
         G = build(Symmetric(4))
-        for i in (3, 10, 17):
-            for j in (1, 8, 21):
-                assert G.elements[G.mul(i, j)] == pm.compose(G.elements[i], G.elements[j])
+        E = elements(G)
+        left, right = [3, 10, 17], [1, 8, 21]
+        got = _products(G, left, right)
+        for a, i in enumerate(left):
+            for b, j in enumerate(right):
+                assert E[got[a, b]] == compose(E[i], E[j])
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
@@ -135,11 +146,12 @@ class TestGenerateGroup:
 
     def test_entries_out_of_range_are_not_members(self):
         G = build(Cyclic(9))
-        for p in (tuple(range(8)) + (300,), (-1,) * 9, tuple(range(8)) + (9,), (0,) * 10):
+        for p in (tuple(range(8)) + (300,), (-1,) * 9, tuple(range(8)) + (9,), (0,) * 10,
+                  tuple(range(10)), [[0] * 9], [True] * 9, [float(x) for x in range(9)]):
             with pytest.raises(InputError):
                 G.index_of(p)
-            assert p not in G
-        assert tuple(range(9)) in G
+        assert G.index_of(tuple(range(9))) == 0
+        assert G.index_of(np.arange(9, dtype=np.uint16)) == 0
 
     def test_non_member_rows_are_typed(self):
         G = build(Cyclic(9))
@@ -150,8 +162,32 @@ class TestGenerateGroup:
             G.index_of(swap[0])
 
     def test_mismatched_degrees_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"different point sets: degrees \[2, 3\]"):
             generate_group([[1, 0], [1, 2, 0]])
+        with pytest.raises(InputError, match="declared degree 4 does not match generators"):
+            generate_group([[1, 0, 2]], degree=4)
+
+    @pytest.mark.parametrize("gen", [
+        [], [0, 0, 1], [1, 2, 3], [0, -1], [1.0, 0.0], [True, False], ["1", "0"],
+        [[1, 0], [0, 1]], np.array([[1, 0]]), [0, [1]], 7, "10", [2**70, 0],
+    ], ids=["empty", "repeated", "out-of-range", "negative", "float", "bool", "str",
+            "2-D", "2-D-array", "ragged", "scalar", "str-scalar", "huge"])
+    def test_generator_must_be_an_image_row(self, gen):
+        # Each bad generator raises the typed error, never a numpy exception,
+        # alone and beside a good one.
+        with pytest.raises(InputError):
+            generate_group([gen])
+        with pytest.raises(InputError):
+            generate_group([[1, 0], gen])
+
+    def test_numpy_rows_build_the_list_group(self):
+        gens = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+        want = generate_group(gens)
+        for dtype in (np.int64, np.uint8, np.int16):
+            G = generate_group([np.array(g, dtype=dtype) for g in gens])
+            assert np.array_equal(G.rows, want.rows)
+            assert G.generator_indices == want.generator_indices
+        assert np.array_equal(generate_group(np.array(gens[::-1])).rows, want.rows)
 
     def test_trivial_group(self):
         G = generate_group([], degree=4)
@@ -159,17 +195,18 @@ class TestGenerateGroup:
 
     def test_word_for_reaches_element(self):
         G = build(Symmetric(4))
+        E = elements(G)
         gens = G.generator_indices
         for i in range(G.order):
-            x = 0
+            x = E[0]
             for gi in G.word_for(i):
-                x = G.mul(x, gens[gi])
-            assert x == i
+                x = compose(x, E[gens[gi]])
+            assert x == E[i]
 
     def test_deterministic_element_order(self):
         a = build(FieldSemidirect(7, 1, 3))
         b = build(FieldSemidirect(7, 1, 3))
-        assert a.elements == b.elements
+        assert np.array_equal(a.rows, b.rows)
 
 
 class TestElementStructure:
@@ -179,25 +216,26 @@ class TestElementStructure:
         assert sorted(set(orders)) == [1, 2, 3, 4]
         assert exponent(G) == 12
         for i in range(G.order):
-            assert G.power(i, orders[i]) == 0
+            assert G.powers(i, orders[i] + 1)[orders[i]] == 0
 
     def test_inverse_table(self):
         G = build(Dihedral(6))
+        mul = _mul(G)
         inv = G.inverse_table()
         for i in range(G.order):
-            assert G.mul(i, inv[i]) == 0
+            assert mul(i, inv[i]) == 0
 
 
 def _closure_by_loop(gens):
     """Element-at-a-time BFS closure with tuple composition: elements, parents."""
     gens = sorted({tuple(g) for g in gens})
-    ident = pm.identity(len(gens[0]))
+    ident = tuple(range(len(gens[0])))
     gens = [g for g in gens if g != ident]
     elements, parents, seen = [ident], [(-1, -1)], {ident}
     pos = 0
     while pos < len(elements):
         for gi, g in enumerate(gens):
-            y = pm.compose(elements[pos], g)
+            y = compose(elements[pos], g)
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
@@ -206,9 +244,15 @@ def _closure_by_loop(gens):
     return elements, parents
 
 
+def _generators(G):
+    """The generators as image tuples, in sorted order."""
+    return [tuple(G.rows[i].tolist()) for i in G.generator_indices]
+
+
 def _classes_by_loop(G):
     """Classes by conjugating with the generators, numbered by smallest member."""
-    index = {p: i for i, p in enumerate(G.elements)}
+    E = elements(G)
+    index = {p: i for i, p in enumerate(E)}
     class_of = [-1] * G.order
     for start in range(G.order):
         if class_of[start] != -1:
@@ -218,8 +262,8 @@ def _classes_by_loop(G):
         frontier = [start]
         while frontier:
             x = frontier.pop()
-            for g in G.generators:
-                y = index[pm.compose(g, pm.compose(G.elements[x], pm.inverse(g)))]
+            for g in _generators(G):
+                y = index[compose(g, compose(E[x], inverse(g)))]
                 if class_of[y] == -1:
                     class_of[y] = c
                     frontier.append(y)
@@ -241,11 +285,11 @@ def _span_by_loop(start, moves):
 
 
 def _generated_by_loop(ident, perms):
-    return _span_by_loop([ident], [lambda x, g=g: pm.compose(x, g) for g in perms])
+    return _span_by_loop([ident], [lambda x, g=g: compose(x, g) for g in perms])
 
 
 def _conjugates_by_loop(perms, conjugators):
-    return _span_by_loop(perms, [lambda x, g=g: pm.compose(g, pm.compose(x, pm.inverse(g)))
+    return _span_by_loop(perms, [lambda x, g=g: compose(g, compose(x, inverse(g)))
                                  for g in conjugators])
 
 
@@ -262,17 +306,17 @@ def _generators_by_loop(ident, members):
 def _derived_by_loop(ident, members):
     """Commutator subgroup: generator commutators, closed under conjugation, then generated."""
     gens = _generators_by_loop(ident, members)
-    comms = [pm.compose(pm.compose(pm.inverse(a), pm.inverse(b)), pm.compose(a, b))
+    comms = [compose(compose(inverse(a), inverse(b)), compose(a, b))
              for a in gens for b in gens]
     return _generated_by_loop(ident, _conjugates_by_loop(comms, gens))
 
 
 def _p_complement_by_loop(G, p):
     """The set of p'-elements if it is a subgroup of order the p'-part of |G|, else None."""
-    S = {x for x in G.elements if pm.order_of(x) % p != 0}
+    S = {x for x in elements(G) if order_of(x) % p != 0}
     if len(S) != p_prime_part(G.order, p):
         return None
-    return S if all(pm.compose(a, b) in S for a in S for b in S) else None
+    return S if all(compose(a, b) in S for a in S for b in S) else None
 
 
 LOOP_REFERENCE_GROUPS = [
@@ -291,26 +335,28 @@ class TestAgainstLoopReference:
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_group_tables(self, G):
-        elements, parents = _closure_by_loop(G.generators)
-        assert list(G.elements) == elements
+        E = elements(G)
+        want, parents = _closure_by_loop(_generators(G))
+        assert E == want
         words = [()]
         for parent, gen in parents[1:]:  # a BFS parent comes before its child
             words.append(words[parent] + (gen,))
         assert [G.word_for(i) for i in range(G.order)] == words
-        index = {p: i for i, p in enumerate(G.elements)}
-        assert list(G.inverse_table()) == [index[pm.inverse(p)] for p in G.elements]
-        assert list(G.orders()) == [pm.order_of(p) for p in G.elements]
+        index = {p: i for i, p in enumerate(E)}
+        assert list(G.inverse_table()) == [index[inverse(p)] for p in E]
+        assert list(G.orders()) == [order_of(p) for p in E]
         assert list(conjugacy_classes(G).class_of) == _classes_by_loop(G)
         for i in range(0, G.order, max(1, G.order // 7)):
             m = G.orders()[i]
-            assert G.powers(i, m) == [G.power(i, t) for t in range(m)]
+            assert G.powers(i, m) == [index[power(E[i], t)] for t in range(m)]
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_generator_table(self, G):
         assert G._right.shape == (G.order, len(G.generator_indices))
+        E = elements(G)
         for x in range(G.order):
             for s, g in enumerate(G.generator_indices):
-                assert G._right[x, s] == G.mul(x, g)
+                assert E[G._right[x, s]] == compose(E[x], E[g])
 
     @pytest.mark.parametrize("spec, reflections", [
         (Dihedral(101), 101), (DirectProduct(Cyclic(2), Dihedral(53)), 53),
@@ -329,9 +375,9 @@ class TestAgainstLoopReference:
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_closure_limit(self, G):
-        ident = G.elements[0]
+        E = elements(G)
         for seed in self._seeds(G):
-            size = len(_generated_by_loop(ident, [G.elements[i] for i in seed]))
+            size = len(_generated_by_loop(E[0], [E[i] for i in seed]))
             for limit in (1, size - 1, size, size + 1, G.order):
                 got = _closure(G, seed, limit)
                 assert (got is None) == (size > limit)
@@ -340,24 +386,24 @@ class TestAgainstLoopReference:
 
     @staticmethod
     def _perms(G, H):
-        elements = G.elements
-        return {elements[i] for i in H.indices}
+        E = elements(G)
+        return {E[i] for i in H.indices}
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_generated_and_normal_closure(self, G):
-        ident = G.elements[0]
+        E = elements(G)
         for seed in self._seeds(G):
-            perms = [G.elements[i] for i in seed]
-            assert self._perms(G, subgroup_generated(G, seed)) == _generated_by_loop(ident, perms)
+            perms = [E[i] for i in seed]
+            assert self._perms(G, subgroup_generated(G, seed)) == _generated_by_loop(E[0], perms)
             assert self._perms(G, normal_closure(G, seed)) == _generated_by_loop(
-                ident, _conjugates_by_loop(perms, G.generators))
+                E[0], _conjugates_by_loop(perms, _generators(G)))
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
     def test_derived_series(self, G):
-        ident = G.elements[0]
-        want = [set(G.elements)]
+        E = elements(G)
+        want = [set(E)]
         while True:
-            want.append(_derived_by_loop(ident, want[-1]))
+            want.append(_derived_by_loop(E[0], want[-1]))
             if len(want[-1]) in (1, len(want[-2])):
                 break
         assert [self._perms(G, H) for H in derived_series(G)] == want
@@ -368,7 +414,7 @@ class TestAgainstLoopReference:
         subgroups += [subgroup_generated(G, seed) for seed in self._seeds(G)]
         for H in subgroups:
             members = self._perms(G, H)
-            want = _conjugates_by_loop(members, G.generators) == members
+            want = _conjugates_by_loop(members, _generators(G)) == members
             assert is_normal(G, H) == want
 
     @pytest.mark.parametrize("G", LOOP_REFERENCE_GROUPS, ids=LOOP_REFERENCE_IDS)
@@ -434,9 +480,10 @@ class TestConjugacyClasses:
             for x in members:
                 assert C.class_of[x] == c
         # Conjugation never leaves the class.
-        for g in range(G.order):
+        E = elements(G)
+        for g in E:
             for c in range(C.num_classes):
-                assert C.class_of[G.conjugate(g, C.reps[c])] == c
+                assert C.class_of[G.index_of(compose(g, compose(E[C.reps[c]], inverse(g))))] == c
 
     def test_identity_class_first(self):
         for spec in (Symmetric(4), Quaternion8(), Dihedral(14)):
@@ -446,8 +493,9 @@ class TestConjugacyClasses:
     def test_inverse_class(self):
         G = build(FieldSemidirect(7, 1, 3))
         C = conjugacy_classes(G)
+        E = elements(G)
         for c in range(C.num_classes):
-            assert C.class_of[G.inv(C.reps[c])] == C.inverse_class[c]
+            assert C.class_of[G.index_of(inverse(E[C.reps[c]]))] == C.inverse_class[c]
 
     def test_power_map(self):
         G = build(Symmetric(4))
@@ -456,10 +504,7 @@ class TestConjugacyClasses:
         for k in (2, 3, 5):
             mapped = power_map(G, C, k)
             for c in range(C.num_classes):
-                x = 0
-                for _ in range(k):
-                    x = G.mul(x, C.reps[c])
-                assert C.class_of[x] == mapped[c]
+                assert C.class_of[G.powers(C.reps[c], k + 1)[k]] == mapped[c]
 
 
 class TestSubgroupLattice:
@@ -473,21 +518,22 @@ class TestSubgroupLattice:
 
     def test_subgroup_generated(self):
         G = build(Symmetric(4))
-        i = G.index_of(pm.validate([1, 0, 2, 3]))
-        j = G.index_of(pm.validate([0, 1, 3, 2]))
+        i = G.index_of([1, 0, 2, 3])
+        j = G.index_of([0, 1, 3, 2])
         H = subgroup_generated(G, [i, j])
         assert H.order == 4
         members = H.member_set()
-        assert all(G.mul(a, b) in members for a in members for b in members)
+        mul = _mul(G)
+        assert all(mul(a, b) in members for a in members for b in members)
 
     def test_normal_closure_and_is_normal(self):
         G = build(Symmetric(4))
-        i = G.index_of(pm.validate([1, 0, 3, 2]))
+        i = G.index_of([1, 0, 3, 2])
         V = normal_closure(G, [i])
         assert V.order == 4
         assert is_normal(G, V)
         assert subgroup_is_normal_brute(G, V)
-        t = G.index_of(pm.validate([1, 0, 2, 3]))
+        t = G.index_of([1, 0, 2, 3])
         T = subgroup_generated(G, [t])
         assert not is_normal(G, T)
         assert not subgroup_is_normal_brute(G, T)
@@ -546,9 +592,10 @@ class TestSubgroupLattice:
         assert S.order == 6
         assert len(to_parent) == 6
         assert to_parent[0] == 0
+        mul_S, mul_G = _mul(S), _mul(G)
         for a in range(S.order):
             for b in range(S.order):
-                assert to_parent[S.mul(a, b)] == G.mul(to_parent[a], to_parent[b])
+                assert to_parent[mul_S(a, b)] == mul_G(to_parent[a], to_parent[b])
 
 
 class TestPNilpotence:
