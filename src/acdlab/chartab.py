@@ -148,7 +148,6 @@ class ModTable:
     exponent: int
     omega_root: int  # fixed primitive exponent-th root of unity mod q
     degrees: Tuple[int, ...]
-    omega: np.ndarray  # central character values omega(K_c) mod q
     chi: np.ndarray  # character values mod q
     linear: np.ndarray  # exponent rows: chi[r] = omega_root^linear[r] for r < len(linear)
 
@@ -278,10 +277,13 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     if omega_rows.shape != (k, k):
         raise EngineInvariantError(f"split gave {omega_rows.shape[0]} central characters, not {k}")
 
+    # The norms sum_c omega(K_c) omega(K_c') / |K_c|, c' the inverse class, then chi, in place.
     inv_sizes = np.array([pow(int(s), -1, q) for s in C.sizes], dtype=np.int64)
-    obar = omega_rows[:, list(C.inverse_class)]
-    summand = (omega_rows * obar) % q
-    summand = (summand * inv_sizes[None, :]) % q
+    summand = omega_rows[:, list(C.inverse_class)]
+    summand *= omega_rows
+    summand %= q
+    summand *= inv_sizes
+    summand %= q
     s = summand.sum(axis=1) % q
 
     degrees: List[int] = []
@@ -304,54 +306,71 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     if degrees.count(1) != n_lin or any(d != 1 for d in degrees[:n_lin]):
         raise EngineInvariantError("the degree-1 rows must be exactly the linear characters")
 
-    deg = np.asarray(degrees, dtype=np.int64)
-    chi = (omega_rows * inv_sizes[None, :]) % q
-    chi = (chi * deg[:, None]) % q
-    if not np.array_equal(chi[:, 0], deg):
+    chi = omega_rows
+    chi *= inv_sizes
+    chi %= q
+    chi *= np.asarray(degrees, dtype=np.int64)[:, None]
+    chi %= q
+    if chi[:, 0].tolist() != degrees:
         raise EngineInvariantError("characters must take their degree on the identity class")
-    return ModTable(q=q, exponent=e, omega_root=omega_root, degrees=tuple(degrees),
-                    omega=omega_rows, chi=chi, linear=J)
+    return ModTable(q=q, exponent=e, omega_root=omega_root, degrees=tuple(degrees), chi=chi, linear=J)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CharacterTable:
     """Exact irreducible character table; row 0 is the trivial character.
 
     Rows are sorted by degree and then by value columns; columns follow the
-    conjugacy class order of the group (identity class first).
+    conjugacy class order of the group (identity class first).  ``values``
+    holds the distinct values in first-seen order, and ``ids``, a read-only
+    k x k int32 matrix, each cell's position there.
     """
 
     group: FiniteGroup
     classes: ClassData
     exponent: int
     degrees: Tuple[int, ...]
-    rows: Tuple[Tuple[CyclotomicValue, ...], ...]
+    values: Tuple[CyclotomicValue, ...]
+    ids: np.ndarray
+
+    def __init__(self, group: FiniteGroup, classes: ClassData, exponent: int, degrees: Tuple[int, ...],
+                 values: Sequence[CyclotomicValue] = (), ids: Optional[np.ndarray] = None,
+                 rows: Optional[Sequence[Sequence[CyclotomicValue]]] = None):
+        """A k x k grid ``rows`` replaces ``values`` and ``ids``: its cells are
+        grouped by object identity, and one cell per object is hashed."""
+        k = len(degrees)
+        if rows is not None:
+            if len(rows) != k or any(len(row) != k for row in rows):
+                raise InputError(f"table rows must form a {k} x {k} grid")
+            cells = list(chain.from_iterable(rows))
+            objects = dict(zip(map(id, cells), cells))
+            interned: Dict[CyclotomicValue, int] = {}
+            of_object = {i: interned.setdefault(v, len(interned)) for i, v in objects.items()}
+            values = tuple(interned)
+            ids = np.fromiter(map(of_object.__getitem__, map(id, cells)), np.int32, k * k).reshape(k, k)
+        ids = np.asarray(ids)
+        if ids.shape != (k, k) or ids.dtype.kind not in "iu":
+            raise InputError(f"value ids must be a {k} x {k} integer matrix, not {ids.dtype} {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(values)):
+            raise InputError(f"value ids must lie in [0, {len(values)})")
+        ids = ids.astype(np.int32, copy=False).view()  # an int32 matrix is not copied
+        ids.setflags(write=False)
+        for name, field in (("group", group), ("classes", classes), ("exponent", exponent),
+                            ("degrees", tuple(degrees)), ("values", tuple(values)), ("ids", ids)):
+            object.__setattr__(self, name, field)
 
     @property
     def num_chars(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
     def value(self, char: int, cls: int) -> CyclotomicValue:
-        return self.rows[char][cls]
+        return self.values[self.ids[char, cls]]
 
     @cached_property
-    def value_ids(self) -> Tuple[Tuple[CyclotomicValue, ...], np.ndarray]:
-        """The distinct values in first-seen order, and per cell its value's position there.
-
-        The per-row data, the kernels, the Galois maps, the modular
-        orthogonality marks and the JSON writer all read this view.
-        ``character_table`` stores the lift's own ids here; a table made
-        otherwise (``dataclasses.replace``) derives them from ``rows``.  A
-        table holds far fewer value objects than cells, so cells are grouped
-        by object identity first, and only one cell per object is hashed by
-        value.
-        """
-        cells = list(chain.from_iterable(self.rows))
-        objects = dict(zip(map(id, cells), cells))
-        ids: Dict[CyclotomicValue, int] = {}
-        of_object = {i: ids.setdefault(v, len(ids)) for i, v in objects.items()}
-        V = np.fromiter(map(of_object.__getitem__, map(id, cells)), dtype=np.intp, count=len(cells))
-        return tuple(ids), V.reshape(len(self.rows), -1)
+    def rows(self) -> Tuple[Tuple[CyclotomicValue, ...], ...]:
+        """The k x k grid of values, built on first use; no engine path reads it."""
+        objects = np.fromiter(self.values, dtype=object, count=len(self.values))
+        return tuple(map(tuple, objects[self.ids].tolist()))
 
     @cached_property
     def conductor_blocks(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
@@ -363,11 +382,10 @@ class CharacterTable:
         The Galois maps, the real rows and the modular orthogonality marks
         work on these matrices, a conductor at a time.
         """
-        distinct = self.value_ids[0]
         by_conductor: Dict[int, List[int]] = {}
-        for i, v in enumerate(distinct):
+        for i, v in enumerate(self.values):
             by_conductor.setdefault(v.conductor, []).append(i)
-        return {m: (np.array(ids), _coefficient_matrix([distinct[i].coeffs for i in ids]))
+        return {m: (np.array(ids), _coefficient_matrix([self.values[i].coeffs for i in ids]))
                 for m, ids in by_conductor.items()}
 
     @cached_property
@@ -377,9 +395,8 @@ class CharacterTable:
         Values sit at their minimal conductor, so a row has its values in
         Q(zeta_n) exactly when its entry here divides n.
         """
-        distinct, V = self.value_ids
-        conductors = np.array([v.conductor for v in distinct], dtype=np.int64)
-        return tuple(np.lcm.reduce(conductors[V], axis=1).tolist())
+        conductors = np.array([v.conductor for v in self.values], dtype=np.int64)
+        return tuple(np.lcm.reduce(conductors[self.ids], axis=1).tolist())
 
     @cached_property
     def real_rows(self) -> Tuple[bool, ...]:
@@ -388,11 +405,10 @@ class CharacterTable:
         Each conductor's matrix is twisted by t = -1 once, and a value is
         real when its twisted row equals its own.
         """
-        distinct, V = self.value_ids
-        real = np.empty(len(distinct), dtype=bool)
+        real = np.empty(len(self.values), dtype=bool)
         for m, (ids, C) in self.conductor_blocks.items():
             real[ids] = (_twist_rows(m, C, -1) == C).all(axis=1)
-        return tuple(real[V].all(axis=1).tolist())
+        return tuple(real[self.ids].all(axis=1).tolist())
 
     @cached_property
     def kernel_classes(self) -> Tuple[Tuple[int, ...], ...]:
@@ -401,8 +417,7 @@ class CharacterTable:
         A cell is compared with the degree (the row's value on the identity
         class) by its value id.
         """
-        V = self.value_ids[1]
-        return tuple(tuple(np.flatnonzero(row == row[0]).tolist()) for row in V)
+        return tuple(tuple(np.flatnonzero(row == row[0]).tolist()) for row in self.ids)
 
     @cached_property
     def galois_maps(self) -> Dict[int, np.ndarray]:
@@ -424,10 +439,10 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     # id order.  Linear cells are roots of unity zeta_e^j: one value per
     # exponent j present.
     exps = np.flatnonzero(np.bincount(mt.linear.ravel(), minlength=e))
-    slot = np.zeros(e, dtype=np.intp)
+    slot = np.zeros(e, dtype=np.int32)
     slot[exps] = np.arange(len(exps))
     values = {CyclotomicValue(e, {int(j): 1}): i for i, j in enumerate(exps)}
-    ids = np.empty((k, k), dtype=np.intp)
+    ids = np.empty((k, k), dtype=np.int32)
     ids[:n_lin] = slot[mt.linear]
     transform_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     # The multiplicity vector at conductor m determines the value, and a
@@ -501,29 +516,22 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     for prev, cur in zip(by_key, by_key[1:]):
         rank[cur] = rank[prev] + (keys[cur] != keys[prev])
     others = np.array([r for r in range(k) if r != trivial[0]], dtype=np.int64)
-    sort_keys = np.vstack([np.asarray(rank)[ids[others]].T[::-1], np.asarray(mt.degrees)[others]])
+    sort_keys = np.vstack([np.asarray(rank, dtype=np.int32)[ids[others]].T[::-1],
+                           np.asarray(mt.degrees, dtype=np.int32)[others]])
     perm = trivial + others[np.lexsort(sort_keys)].tolist()
     degrees = tuple(mt.degrees[r] for r in perm)
     if not all(G.order % d == 0 for d in degrees):
         raise EngineInvariantError("degrees must divide the group order")
-    objects = np.fromiter(values, dtype=object, count=len(values))
+    # The table takes the lift's ids renumbered to first-seen order; every
+    # value of ``values`` lies in some cell.
     ids = ids[perm]
-    T = CharacterTable(
-        group=G,
-        classes=C,
-        exponent=e,
-        degrees=degrees,
-        rows=tuple(map(tuple, objects[ids].tolist())),
-    )
-    # Seed the value-id view with the lift's ids, renumbered to first-seen
-    # order; every value of ``values`` lies in some cell.
-    first = np.full(len(objects), ids.size)
+    first = np.full(len(values), ids.size)
     np.minimum.at(first, ids.ravel(), np.arange(ids.size))
     order = np.argsort(first)
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(len(order))
-    T.__dict__["value_ids"] = (tuple(objects[order].tolist()), renumber[ids])
-    return T
+    renumber = np.argsort(order).astype(np.int32)
+    objects = np.fromiter(values, dtype=object, count=len(values))
+    return CharacterTable(group=G, classes=C, exponent=e, degrees=degrees,
+                          values=tuple(objects[order].tolist()), ids=renumber[ids])
 
 
 # -- orthogonality -----------------------------------------------------------
@@ -561,13 +569,12 @@ def _galois_map(T: CharacterTable, t: int) -> np.ndarray:
     t %= e
     out = T.galois_maps.get(t)
     if out is None:
-        distinct, V = T.value_ids
-        twisted = np.full(len(distinct), -1, dtype=V.dtype)
+        twisted = np.full(len(T.values), -1, dtype=np.int32)
         for m, (ids, C) in T.conductor_blocks.items():
             if e % m == 0:
                 twisted[ids] = _row_ids(_twist_rows(m, C, t), C, ids)
-        lookup = {row.tobytes(): r for r, row in enumerate(V)}
-        out = T.galois_maps[t] = np.array([lookup.get(row.tobytes(), -1) for row in twisted[V]])
+        lookup = {row.tobytes(): r for r, row in enumerate(T.ids)}
+        out = T.galois_maps[t] = np.array([lookup.get(row.tobytes(), -1) for row in twisted[T.ids]])
     return out
 
 
@@ -578,8 +585,7 @@ def _galois_permutations(T: CharacterTable) -> Optional[List[np.ndarray]]:
     None when two rows are equal or a twisted row is not a row.
     """
     e = T.exponent
-    V = T.value_ids[1]
-    if len({row.tobytes() for row in V}) != len(V):
+    if len({row.tobytes() for row in T.ids}) != T.num_chars:
         return None
     ts = sorted(set(unit_group_generators(e)) | {e - 1}) if e > 2 else ()
     perms = [_galois_map(T, t) for t in ts]
@@ -606,7 +612,7 @@ def _value_images(T: CharacterTable, q: int, ts: np.ndarray) -> Tuple[np.ndarray
     and of its complex conjugate under zeta_m -> omega^(t e/m), where omega is
     a fixed primitive e-th root of unity mod q; one product per conductor's
     int64 coefficient matrix."""
-    e, n = T.exponent, len(T.value_ids[0])
+    e, n = T.exponent, len(T.values)
     pw = _root_powers(pow(primitive_root(q), (q - 1) // e, q), e, q)
     img = np.empty((n, len(ts)), dtype=np.int64)
     conj = np.empty((n, len(ts)), dtype=np.int64)
@@ -627,7 +633,7 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
     The conductor and integer tests and the l1 norms are read off
     ``conductor_blocks``, one matrix per conductor."""
     e, k, order = T.exponent, T.num_chars, T.group.order
-    distinct, V = T.value_ids
+    V = T.ids
     blocks = T.conductor_blocks
     if any(e % m or C.dtype != np.int64 for m, (_, C) in blocks.items()):
         return None
@@ -637,7 +643,7 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
     # sum_c |K_c| |v_a(c)|_1 |v_b(c)|_1 + |G|, and of a column sum at most
     # sum_r |v_r(c)|_1 |v_r(d)|_1 + |C_G(g_c)|; bound both by the largest
     # l1 norm in each column and in each row.
-    l1 = np.empty(len(distinct), dtype=np.int64)
+    l1 = np.empty(len(T.values), dtype=np.int64)
     for ids, C in blocks.values():
         l1[ids] = np.abs(C).sum(axis=1)
     norms = l1[V]
@@ -652,7 +658,7 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
     # need every embedding zeta_e -> omega^t, t a unit, taken in batches whose
     # images fit in k^2 entries.
     units = np.array([1] if perms is not None else [t for t in range(1, e + 1) if gcd(t, e) == 1])
-    batch = max(1, k * k // len(distinct))
+    batch = max(1, k * k // len(T.values))
     row_bad = np.zeros((k, k), dtype=bool)
     col_bad = np.zeros((k, k), dtype=bool)
     for q in primes:
@@ -677,27 +683,24 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
 
 
 def _exact_failures(
-    vecs: Sequence[Sequence[CyclotomicValue]],
+    values: Sequence[CyclotomicValue],
+    V: np.ndarray,
     weights: Sequence[int],
     diag: Sequence[int],
     marked: np.ndarray,
 ) -> List[Tuple[int, int, CyclotomicValue]]:
     """The pairs a <= b marked in either order whose exact sum
     sum_c w_c v_a(c) conj(v_b(c)) is not diag[a] * delta_ab, in row-major
-    order, each with its sum.  A pair's terms are accumulated as exponent
-    counts at the lcm of its two vectors' conductors."""
-    terms: Dict[int, List[Tuple[int, List[Tuple[int, Rat]]]]] = {}
-
-    def parts(a: int) -> List[Tuple[int, List[Tuple[int, Rat]]]]:
-        p = terms.get(a)
-        if p is None:
-            p = terms[a] = [(v.conductor, list(v.terms().items())) for v in vecs[a]]
-        return p
-
+    order, each with its sum; vector a holds the values at the ids V[a].
+    Terms, taken once per value, add up as exponent counts at the lcm of
+    the pair's conductors."""
+    pairs = [index.tolist() for index in np.nonzero(np.triu(marked | marked.T))]
+    vecs = sorted(set(pairs[0]) | set(pairs[1]))
+    terms = {i: (values[i].conductor, list(values[i].terms().items())) for i in set(V[vecs].ravel().tolist())}
+    parts = {a: [terms[i] for i in V[a].tolist()] for a in vecs}
     failures: List[Tuple[int, int, CyclotomicValue]] = []
-    for a, b in zip(*np.nonzero(np.triu(marked | marked.T))):
-        a, b = int(a), int(b)
-        pa, pb = parts(a), parts(b)
+    for a, b in zip(*pairs):
+        pa, pb = parts[a], parts[b]
         L = lcm(*(m for m, _ in pa), *(m for m, _ in pb))
         acc: Dict[int, Rat] = {}
         for w, (ma, ta), (mb, tb) in zip(weights, pa, pb):
@@ -739,8 +742,8 @@ def verify_orthogonality(T: CharacterTable) -> OrthogonalityReport:
     marks = _modular_marks(T)
     if marks is None:
         marks = (np.ones((k, k), dtype=bool),) * 2
-    row_fail = _exact_failures(T.rows, sizes, [order] * k, marks[0])
-    col_fail = _exact_failures(list(zip(*T.rows)), [1] * k, [order // s for s in sizes], marks[1])
+    row_fail = _exact_failures(T.values, T.ids, sizes, [order] * k, marks[0])
+    col_fail = _exact_failures(T.values, T.ids.T, [1] * k, [order // s for s in sizes], marks[1])
     return OrthogonalityReport(
         ok=not row_fail and not col_fail,
         row_failures=tuple(row_fail),
@@ -789,13 +792,6 @@ def _table_header(T: CharacterTable) -> Dict:
     }
 
 
-def table_to_json_dict(T: CharacterTable) -> Dict:
-    """Stable, exact JSON form of the table (integers and fractions only)."""
-    data = _table_header(T)
-    data["values"] = [[v.to_json_dict() for v in row] for row in T.rows]
-    return data
-
-
 def table_json_pieces(T: CharacterTable) -> Iterator[str]:
     """The text of ``table_to_json`` in pieces: the header, then one row at a
     time, then the closing brackets, so a writer never holds the whole text.
@@ -806,14 +802,14 @@ def table_json_pieces(T: CharacterTable) -> Iterator[str]:
     header.
     """
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    distinct, V = T.value_ids
-    fragments = np.array([encode(v.to_json_dict()) for v in distinct], dtype=object)
+    fragments = np.array([encode(v.to_json_dict()) for v in T.values], dtype=object)
     yield encode(_table_header(T))[:-1] + ',"values":['
-    for r, ids in enumerate(V):
+    for r, ids in enumerate(T.ids):
         yield ("," if r else "") + "[" + ",".join(fragments[ids].tolist()) + "]"
     yield "]}"
 
 
 def table_to_json(T: CharacterTable) -> str:
-    """``table_to_json_dict`` as compact JSON with sorted keys."""
+    """Stable, exact JSON form of the table (integers and fractions only),
+    compact with sorted keys; ``"values"`` holds each cell's ``to_json_dict``."""
     return "".join(table_json_pieces(T))

@@ -128,10 +128,18 @@ def _twist_rows(m: int, C: np.ndarray, t: int) -> np.ndarray:
     multiplied by the rows of ``reduction_rows(m)`` at their exponents (one
     column at a prime m).  That product runs in float64, on BLAS, when every
     partial sum is an integer below 2^53, so it is exact; in Python numbers
-    otherwise.  A value at its minimal conductor keeps it under sigma_t, so
-    there is no re-descent."""
+    otherwise.  Rows with fractions are twisted times their common
+    denominators, in integers, and divided by them after.  A value at its
+    minimal conductor keeps it under sigma_t, so there is no re-descent."""
     if gcd(t, m) != 1:
         raise InputError(f"galois exponent {t} is not a unit mod {m}")
+    if C.dtype == object:
+        d = [lcm(*(c.denominator for c in row)) for row in C.tolist()]
+        if max(d, default=1) > 1:
+            X = _coefficient_matrix([[c.numerator * (n // c.denominator) for c in row]
+                                     for row, n in zip(C.tolist(), d)])
+            divide = np.frompyfunc(lambda y, n: _as_rat(Fraction(y, n)), 2, 1)
+            return divide(_twist_rows(m, X, t).astype(object), np.array(d, dtype=object)[:, None])
     to = np.arange(C.shape[1]) * (t % m) % m
     stay = to < C.shape[1]
     out = np.zeros_like(C)
@@ -258,10 +266,6 @@ class CyclotomicValue:
     @classmethod
     def rational(cls, x: Rat) -> "CyclotomicValue":
         return cls._raw(1, (_as_rat(x),))
-
-    @classmethod
-    def root_of_unity(cls, m: int, j: int = 1) -> "CyclotomicValue":
-        return cls(m, {j: 1})
 
     @classmethod
     def zero(cls) -> "CyclotomicValue":
@@ -452,4 +456,4 @@ Number = Union[int, Fraction, CyclotomicValue]
 
 def zeta(m: int, j: int = 1) -> CyclotomicValue:
     """The root of unity zeta_m^j."""
-    return CyclotomicValue.root_of_unity(m, j)
+    return CyclotomicValue(m, {j: 1})

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from acdlab.chartab import CharacterTable, galois_conjugate
+from acdlab.chartab import CharacterTable, _table_header, galois_conjugate
 from acdlab.cyclotomic import CyclotomicValue
 from acdlab.group import ClassData, FiniteGroup, SubgroupHandle
 from acdlab.linalg_mod import nullspace_mod, rref_mod
@@ -287,3 +287,13 @@ def orthogonality_failures(T: CharacterTable) -> Tuple[Failures, Failures]:
     columns = [[T.value(r, c) for r in range(k)] for c in range(k)]
     return (failures(T.rows, sizes, [order] * k),
             failures(columns, [1] * k, [order // s for s in sizes]))
+
+
+def table_to_json_dict(T: CharacterTable) -> Dict:
+    """The table's JSON form, cell by cell: the header keys and, per row, each
+    value's ``to_json_dict``.  ``chartab.table_to_json`` must encode exactly
+    this, compact with sorted keys."""
+    data = _table_header(T)
+    k = T.num_chars
+    data["values"] = [[T.value(r, c).to_json_dict() for c in range(k)] for r in range(k)]
+    return data

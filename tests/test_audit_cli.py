@@ -22,11 +22,12 @@ from acdlab.audit import (
     STATEMENT_NAMES,
     _rows_for_spec,
 )
-from acdlab.chartab import character_table, table_to_json, table_to_json_dict
+from acdlab.chartab import character_table, table_to_json
 from acdlab.constructions import FieldSemidirect, build, default_catalog, to_text
 from acdlab.errors import EngineInvariantError, InputError
 from acdlab.group import FiniteGroup
 from acdlab.specparse import parse_group_spec
+from oracles import table_to_json_dict
 
 
 class TestStatementRegistry:

@@ -26,15 +26,16 @@ from acdlab.chartab import (
     compute_mod_table,
     galois_conjugate,
     table_to_json,
-    table_to_json_dict,
     verify_orthogonality,
 )
 from acdlab.constructions import build, default_catalog, to_text
 from acdlab.cyclotomic import CyclotomicValue, zeta
+from acdlab.errors import InputError
 from acdlab.fieldvals import FieldSpec, has_values_in
 from acdlab.group import FiniteGroup, conjugacy_classes, is_normal
-from acdlab.number_theory import is_prime, primitive_root
+from acdlab.number_theory import is_prime, primitive_root, unit_group_generators
 from acdlab.specparse import parse_group_spec
+from oracles import table_to_json_dict
 
 
 def table_for(cache, text):
@@ -620,35 +621,35 @@ class TestDistinctValueWork:
 
 
 class TestBulkValueView:
-    """The lift's seeded value ids and the per-conductor coefficient
-    matrices against the views derived from the rows alone."""
+    """The lift's values and value ids and the per-conductor coefficient
+    matrices against the same data interned from the table's grid alone."""
 
     SAMPLE = ["S(4)", "A(5)", "F(7,3)", "Q8*C(26)", "C(113)", "SD(5,3,124)", "C(2)*D(30)", "F(13,3)"]
 
     @pytest.mark.parametrize("text", SAMPLE)
     def test_seeded_ids_equal_derived(self, cache, text):
         T = cache.table(text)
-        assert "value_ids" in T.__dict__
-        derived = dataclasses.replace(T)
-        assert "value_ids" not in derived.__dict__
-        (seeded, S), (again, D) = T.value_ids, derived.value_ids
+        derived = dataclasses.replace(T, rows=T.rows)
+        (seeded, S), (again, D) = (T.values, T.ids), (derived.values, derived.ids)
         assert seeded == again
         assert list(map(type, seeded)) == list(map(type, again))
-        assert S.dtype == D.dtype and np.array_equal(S, D)
+        assert [list(map(type, v.coeffs)) for v in seeded] == [list(map(type, v.coeffs)) for v in again]
+        assert S.dtype == D.dtype == np.int32 and np.array_equal(S, D)
 
     def test_seeded_ids_over_the_catalog(self, cache):
         for text in map(to_text, default_catalog()):
             if cache.group(text).order > 200:
                 continue
             T = cache.table(text)
-            derived = dataclasses.replace(T)
-            assert T.value_ids[0] == derived.value_ids[0], text
-            assert np.array_equal(T.value_ids[1], derived.value_ids[1]), text
+            derived = dataclasses.replace(T, rows=T.rows)
+            assert T.values == derived.values, text
+            assert T.ids.dtype == derived.ids.dtype == np.int32, text
+            assert np.array_equal(T.ids, derived.ids), text
 
     @pytest.mark.parametrize("text", SAMPLE)
     def test_blocks_hold_every_value(self, cache, text):
         T = cache.table(text)
-        distinct = T.value_ids[0]
+        distinct = T.values
         seen = []
         for m, (ids, C) in T.conductor_blocks.items():
             assert C.dtype == np.int64
@@ -833,6 +834,71 @@ class TestReplacedTable:
             galois_conjugate(bad, r, -1)
         # zeta -> zeta^4 fixes zeta_3 and every value of F(7,3).
         assert galois_conjugate(bad, r, 4) == r
+
+
+class TestStoredValues:
+    """A table stores its distinct values and a read-only int32 id matrix;
+    the value grid ``rows`` is derived only when a caller asks for it."""
+
+    @pytest.mark.parametrize("text", ["S(4)", "F(7,3)", "Q8*C(26)"])
+    def test_engine_paths_build_no_grid(self, text):
+        T = character_table(build(parse_group_spec(text)))
+        assert verify_orthogonality(T).ok
+        e = T.exponent
+        ts = sorted(set(unit_group_generators(e)) | {e - 1}) if e > 2 else [1]
+        for r in range(T.num_chars):
+            for t in ts:
+                galois_conjugate(T, r, t)
+        assert len(T.real_rows) == len(T.row_conductors) == len(T.kernel_classes) == T.num_chars
+        assert "".join(chartab.table_json_pieces(T)) == TestJsonOutput.dumps_dict(T)
+        assert "rows" not in T.__dict__
+        assert len(T.rows) == T.num_chars and "rows" in T.__dict__
+
+    def test_ids_are_read_only(self, cache):
+        T = cache.table("S(4)")
+        assert T.ids.dtype == np.int32
+        with pytest.raises(ValueError):
+            T.ids[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            T.ids = T.ids.copy()
+
+    @staticmethod
+    def bad_changes(T):
+        """A ragged grid, id matrices of the wrong shape or dtype, and ids
+        outside [0, len(values)), each as ``dataclasses.replace`` changes."""
+        k, n = T.num_chars, len(T.values)
+        return [dict(rows=T.rows[:2] + (T.rows[2][:2],)), dict(ids=T.ids[:2]),
+                dict(ids=np.zeros((k + 1, k + 1), dtype=np.int32)), dict(ids=T.ids.astype(float)),
+                dict(ids=np.where(T.ids == 0, n, T.ids)), dict(ids=np.where(T.ids == 0, -1, T.ids))]
+
+    def test_bad_grid_or_ids_raise(self, cache):
+        T = cache.table("S(3)")
+        for changes in self.bad_changes(T):
+            with pytest.raises(InputError):
+                dataclasses.replace(T, **changes)
+
+    def test_bad_ids_raise_under_python_O(self):
+        # The same six tables, with asserts stripped.
+        code = (
+            "import dataclasses\n"
+            "import numpy as np\n"
+            "from acdlab.chartab import character_table\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "T = character_table(build(parse_group_spec('S(3)')))\n"
+            "k, n = T.num_chars, len(T.values)\n"
+            "for changes in [dict(rows=T.rows[:2] + (T.rows[2][:2],)), dict(ids=T.ids[:2]),\n"
+            "                dict(ids=np.zeros((k + 1, k + 1), dtype=np.int32)), dict(ids=T.ids.astype(float)),\n"
+            "                dict(ids=np.where(T.ids == 0, n, T.ids)), dict(ids=np.where(T.ids == 0, -1, T.ids))]:\n"
+            "    try:\n"
+            "        dataclasses.replace(T, **changes)\n"
+            "        print('accepted')\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["InputError"] * 6
 
 
 class TestLinearCharacters:
@@ -1194,4 +1260,7 @@ class TestInternals:
         assert len(shapes) <= 2, shapes
         mt = compute_mod_table(G)
         assert mt.q == q
-        assert sorted(map(tuple, np.array(rows).tolist())) == sorted(map(tuple, mt.omega.tolist()))
+        # Central characters omega(K_c) = |K_c| chi(g_c) / chi(1), rebuilt from chi.
+        omega = [[int(x) * size * pow(d, -1, q) % q for x, size in zip(row, C.sizes)]
+                 for row, d in zip(mt.chi.tolist(), mt.degrees)]
+        assert sorted(map(tuple, np.array(rows).tolist())) == sorted(map(tuple, omega))

@@ -324,7 +324,7 @@ class TestTwistRows:
         "mixed": (Fraction(5, 3), 2**70, -4),
     }
 
-    @pytest.mark.parametrize("m", [7, 997, 27, 128, 45, 105, 120])
+    @pytest.mark.parametrize("m", [7, 997, 27, 128, 45, 105, 120, 1001])
     @pytest.mark.parametrize("kind", sorted(CHOICES))
     def test_rows_match_exponent_map(self, m, kind):
         rng = random.Random(m)
