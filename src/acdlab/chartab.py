@@ -12,11 +12,11 @@ nonlinear values are lifted to exact cyclotomic numbers through the
 root-of-unity multiplicity transform at the order m of a class
 representative g, once per Galois orbit of classes: the class of g^u, u a
 unit mod m, takes the representative's multiplicity rows with their columns
-permuted by j -> j u^-1, and one product checks every column so filled
-against its modular values.  All arithmetic is integer-exact: every dense
-product mod q, in the split, the lift and the orthogonality check, goes
-through ``linalg_mod.matmul_mod``, whose float64 sums only ever hold
-integers below 2^53.
+permuted by j -> j u^-1.  The finished table is checked once: each distinct
+value, reduced mod q, must give back the modular table.  All arithmetic is
+integer-exact: every dense product mod q, in the split, the lift and the
+orthogonality check, goes through ``linalg_mod.matmul_mod``, whose float64
+sums only ever hold integers below 2^53.
 """
 
 from __future__ import annotations
@@ -141,15 +141,15 @@ def linear_characters(G: FiniteGroup, C: ClassData, e: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModTable:
-    """Character data over F_q: the linear characters first, in the order of
-    ``linear``, then the split's rows in eigenspace-refinement order."""
+    """Character data over F_q: the linear characters as exponent rows, then
+    the split's characters, values mod q, in eigenspace-refinement order."""
 
     q: int
     exponent: int
     omega_root: int  # fixed primitive exponent-th root of unity mod q
     degrees: Tuple[int, ...]
-    chi: np.ndarray  # character values mod q
-    linear: np.ndarray  # exponent rows: chi[r] = omega_root^linear[r] for r < len(linear)
+    chi: np.ndarray  # values mod q of the nonlinear characters, (k - len(linear)) x k
+    linear: np.ndarray  # exponent rows: lambda_r(g_c) = omega_root^linear[r, c]
 
 
 def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) -> List[np.ndarray]:
@@ -215,6 +215,12 @@ def _split_eigenspaces(G: FiniteGroup, C: ClassData, q: int, start: np.ndarray) 
     return out
 
 
+def _omega(q: int, e: int) -> int:
+    """The fixed primitive e-th root of unity mod q, for e | q - 1: a
+    primitive root's power."""
+    return pow(primitive_root(q), (q - 1) // e, q)
+
+
 def _root_powers(omega: int, e: int, q: int) -> np.ndarray:
     """omega^j mod q for j < e, by doubling."""
     out = np.ones(e, dtype=np.int64)
@@ -258,61 +264,54 @@ def compute_mod_table(G: FiniteGroup) -> ModTable:
     q = choose_conductor_prime(e, G.order)
     k = C.num_classes
 
-    omega_root = pow(primitive_root(q), (q - 1) // e, q)
+    omega_root = _omega(q, e)
     if multiplicative_order(omega_root, q) != e:
         raise EngineInvariantError(f"omega root must have order {e} mod {q}")
-    root_powers = _root_powers(omega_root, e, q)
 
-    sizes = np.asarray(C.sizes, dtype=np.int64)
     J = linear_characters(G, C, e)
     n_lin = len(J)
-    omega_rows = root_powers[J] * sizes % q
+    degrees = [1] * n_lin
+    chi = np.zeros((0, k), dtype=np.int64)
     if n_lin < k:
         # First orthogonality: sum_c omega_chi(K_c) conj(lambda(g_c)) = 0 for
         # every nonlinear chi and linear lambda.  The linear characters are
         # those of G/G', whose table is invertible, so the nonlinear central
         # characters span the vectors summing to 0 over each coset of G'.
-        start = _complement_start(J, q)
-        omega_rows = np.vstack([omega_rows, np.stack(_split_eigenspaces(G, C, q, start))])
-    if omega_rows.shape != (k, k):
-        raise EngineInvariantError(f"split gave {omega_rows.shape[0]} central characters, not {k}")
+        chi = np.stack(_split_eigenspaces(G, C, q, _complement_start(J, q)))
+        if chi.shape != (k - n_lin, k):
+            raise EngineInvariantError(f"split gave {chi.shape[0]} central characters, not {k - n_lin}")
 
-    # The norms sum_c omega(K_c) omega(K_c') / |K_c|, c' the inverse class, then chi, in place.
-    inv_sizes = np.array([pow(int(s), -1, q) for s in C.sizes], dtype=np.int64)
-    summand = omega_rows[:, list(C.inverse_class)]
-    summand *= omega_rows
-    summand %= q
-    summand *= inv_sizes
-    summand %= q
-    s = summand.sum(axis=1) % q
-
-    degrees: List[int] = []
-    bound = isqrt(G.order)
-    for r in range(k):
-        sr = int(s[r])
-        if sr == 0:
-            raise EngineInvariantError("a central character must have a nonzero norm")
-        d2 = (G.order * pow(sr, -1, q)) % q
-        try:
-            d = sqrt_mod(d2, q)
-        except DomainError as exc:
-            raise EngineInvariantError(f"degree square {d2} is not a square mod {q}") from exc
-        d = min(d, q - d)
-        if not (1 <= d <= bound and (d * d) % q == d2):
-            raise EngineInvariantError(f"no degree in [1, {bound}] squares to {d2} mod {q}")
-        degrees.append(d)
+        # The norms sum_c omega(K_c) omega(K_c') / |K_c|, c' the inverse
+        # class, then chi = omega(K_c) chi(1) / |K_c|, in place.
+        inv_sizes = np.array([pow(int(s), -1, q) for s in C.sizes], dtype=np.int64)
+        summand = chi[:, list(C.inverse_class)]
+        summand *= chi
+        summand %= q
+        summand *= inv_sizes
+        summand %= q
+        bound = isqrt(G.order)
+        for sr in (summand.sum(axis=1) % q).tolist():
+            if sr == 0:
+                raise EngineInvariantError("a central character must have a nonzero norm")
+            d2 = (G.order * pow(sr, -1, q)) % q
+            try:
+                d = sqrt_mod(d2, q)
+            except DomainError as exc:
+                raise EngineInvariantError(f"degree square {d2} is not a square mod {q}") from exc
+            d = min(d, q - d)
+            if not (1 <= d <= bound and (d * d) % q == d2):
+                raise EngineInvariantError(f"no degree in [1, {bound}] squares to {d2} mod {q}")
+            if d == 1:
+                raise EngineInvariantError("the degree-1 rows must be exactly the linear characters")
+            degrees.append(d)
+        chi *= inv_sizes
+        chi %= q
+        chi *= np.asarray(degrees[n_lin:], dtype=np.int64)[:, None]
+        chi %= q
+        if chi[:, 0].tolist() != degrees[n_lin:]:
+            raise EngineInvariantError("characters must take their degree on the identity class")
     if sum(d * d for d in degrees) != G.order:
         raise EngineInvariantError("degree squares must sum to the order")
-    if degrees.count(1) != n_lin or any(d != 1 for d in degrees[:n_lin]):
-        raise EngineInvariantError("the degree-1 rows must be exactly the linear characters")
-
-    chi = omega_rows
-    chi *= inv_sizes
-    chi %= q
-    chi *= np.asarray(degrees, dtype=np.int64)[:, None]
-    chi %= q
-    if chi[:, 0].tolist() != degrees:
-        raise EngineInvariantError("characters must take their degree on the identity class")
     return ModTable(q=q, exponent=e, omega_root=omega_root, degrees=tuple(degrees), chi=chi, linear=J)
 
 
@@ -433,7 +432,6 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     orders = G.orders()
 
     n_lin = len(mt.linear)
-    nonlinear = range(n_lin, k)
     nonlinear_degrees = np.asarray(mt.degrees[n_lin:], dtype=np.int64)
     # Cells hold value ids: ``values`` maps each distinct value to its id, in
     # id order.  Linear cells are roots of unity zeta_e^j: one value per
@@ -444,13 +442,13 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     values = {CyclotomicValue(e, {int(j): 1}): i for i, j in enumerate(exps)}
     ids = np.empty((k, k), dtype=np.int32)
     ids[:n_lin] = slot[mt.linear]
-    transform_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    transform_memo: Dict[int, np.ndarray] = {}
     # The multiplicity vector at conductor m determines the value, and a
     # table has far fewer distinct values than cells: canonicalise each once.
     value_memo: Dict[Tuple[int, bytes], int] = {}
     lifted = np.zeros(k, dtype=bool)
 
-    for c in range(k if nonlinear else 0):  # an abelian table has nothing to lift
+    for c in range(k if n_lin < k else 0):  # an abelian table has nothing to lift
         if lifted[c]:
             continue
         g = C.reps[c]
@@ -462,13 +460,11 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         # q > 2*sqrt(|G|) >= 2*degree.
         power_classes = [C.class_of[x] for x in G.powers(g, m)]
         tt = np.arange(m)
-        memo = transform_memo.get(m)
-        if memo is None:
+        Wm = transform_memo.get(m)
+        if Wm is None:
             ptab = _root_powers(pow(mt.omega_root, e // m, q), m, q)
-            memo = transform_memo[m] = (ptab, ptab[(-np.outer(tt, tt)) % m])
-        ptab, Wm = memo
-        V = mt.chi[n_lin:, power_classes]
-        MV = matmul_mod(V, Wm, q) * pow(m, -1, q) % q
+            Wm = transform_memo[m] = ptab[(-np.outer(tt, tt)) % m]
+        MV = matmul_mod(mt.chi[:, power_classes], Wm, q) * pow(m, -1, q) % q
         if not np.array_equal(MV.sum(axis=1), nonlinear_degrees):
             raise EngineInvariantError("multiplicities must sum to the degree")
         # rho(g^u) has eigenvalue zeta_m^(ju) with the multiplicity that
@@ -476,21 +472,11 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         # the columns of MV permuted by j -> j u^-1.  The transform at that
         # class would permute the same modular values the same way, so a
         # modular fault anywhere in the orbit fails the sum check above.
-        units, classes = [], []
         for u in range(1, m + 1):
             c2 = power_classes[u % m]
-            if gcd(u, m) == 1 and not lifted[c2]:
-                lifted[c2] = True
-                units.append(u)
-                classes.append(c2)
-        # The rows for u, reduced at zeta_m -> omega_m, are
-        # MV[:, j u^-1] @ ptab = MV @ ptab[j u], so one product checks every
-        # filled column of the orbit against chi_q.  It restates the inverse
-        # transform, so only an inexact product can fail it: it guards
-        # matmul_mod end to end.
-        if not np.array_equal(matmul_mod(MV, ptab[np.outer(tt, units) % m], q), mt.chi[n_lin:, classes]):
-            raise EngineInvariantError(f"the lift of class {c}'s Galois orbit must reduce to its modular values")
-        for u, c2 in zip(units, classes):
+            if gcd(u, m) != 1 or lifted[c2]:
+                continue
+            lifted[c2] = True
             rows = MV[:, tt * pow(u, -1, m) % m]
             column = []
             for mults in rows:
@@ -501,7 +487,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
                     i = value_memo[key] = values.setdefault(val, len(values))
                 column.append(i)
             ids[n_lin:, c2] = column
-    if nonlinear and not lifted.all():
+    if n_lin < k and not lifted.all():
         raise EngineInvariantError("every class must lie in the Galois orbit of a lifted class")
 
     trivial = np.flatnonzero(~mt.linear.any(axis=1)).tolist()
@@ -518,7 +504,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     others = np.array([r for r in range(k) if r != trivial[0]], dtype=np.int64)
     sort_keys = np.vstack([np.asarray(rank, dtype=np.int32)[ids[others]].T[::-1],
                            np.asarray(mt.degrees, dtype=np.int32)[others]])
-    perm = trivial + others[np.lexsort(sort_keys)].tolist()
+    perm = np.array(trivial + others[np.lexsort(sort_keys)].tolist())
     degrees = tuple(mt.degrees[r] for r in perm)
     if not all(G.order % d == 0 for d in degrees):
         raise EngineInvariantError("degrees must divide the group order")
@@ -530,8 +516,18 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     order = np.argsort(first)
     renumber = np.argsort(order).astype(np.int32)
     objects = np.fromiter(values, dtype=object, count=len(values))
-    return CharacterTable(group=G, classes=C, exponent=e, degrees=degrees,
-                          values=tuple(objects[order].tolist()), ids=renumber[ids])
+    T = CharacterTable(group=G, classes=C, exponent=e, degrees=degrees,
+                       values=tuple(objects[order].tolist()), ids=renumber[ids])
+    # One check of the whole lift, from the transform products to the row
+    # sort: each distinct value, reduced once at zeta_m -> omega^(e/m), gives
+    # back chi_q on the split's rows and omega^j for zeta_e^j.  A wrong chi_q
+    # lifts to values that reduce back to it; the sum check catches that.
+    red = _value_images(T, q, [1])[:, 0]
+    split = np.flatnonzero(perm >= n_lin)
+    if not (np.array_equal(red[T.ids[split]], mt.chi[perm[split] - n_lin])
+            and np.array_equal(red[renumber[:len(exps)]], _root_powers(mt.omega_root, e, q)[exps])):
+        raise EngineInvariantError("the lifted table must reduce to the modular table")
+    return T
 
 
 # -- orthogonality -----------------------------------------------------------
@@ -607,21 +603,17 @@ def _split_primes(e: int, k: int, bound: int) -> List[int]:
     return primes if product > bound else []
 
 
-def _value_images(T: CharacterTable, q: int, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per distinct value and unit t in ts, the images in F_q of the value
-    and of its complex conjugate under zeta_m -> omega^(t e/m), where omega is
-    a fixed primitive e-th root of unity mod q; one product per conductor's
-    int64 coefficient matrix."""
-    e, n = T.exponent, len(T.values)
-    pw = _root_powers(pow(primitive_root(q), (q - 1) // e, q), e, q)
-    img = np.empty((n, len(ts)), dtype=np.int64)
-    conj = np.empty((n, len(ts)), dtype=np.int64)
+def _value_images(T: CharacterTable, q: int, ts: Sequence[int]) -> np.ndarray:
+    """Per distinct value and unit t in ts, its image in F_q under
+    zeta_m -> omega^(t e/m), where omega = ``_omega(q, e)``; one product per
+    conductor's int64 coefficient matrix.  t = -1 gives the image of the
+    complex conjugate."""
+    e = T.exponent
+    pw = _root_powers(_omega(q, e), e, q)
+    img = np.empty((len(T.values), len(ts)), dtype=np.int64)
     for m, (ids, C) in T.conductor_blocks.items():
-        j = np.outer(np.arange(C.shape[1]) * (e // m), ts) % e
-        residues = C % q
-        img[ids] = matmul_mod(residues, pw[j], q)
-        conj[ids] = matmul_mod(residues, pw[-j % e], q)
-    return img, conj
+        img[ids] = matmul_mod(C % q, pw[np.outer(np.arange(C.shape[1]) * (e // m), ts) % e], q)
+    return img
 
 
 def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -665,7 +657,8 @@ def _modular_marks(T: CharacterTable) -> Optional[Tuple[np.ndarray, np.ndarray]]
         row_diag = np.diag(np.full(k, order % q))
         col_diag = np.diag(order // sizes % q)
         for lo in range(0, len(units), batch):
-            img, conj = _value_images(T, q, units[lo:lo + batch])
+            ts = units[lo:lo + batch]
+            img, conj = _value_images(T, q, ts), _value_images(T, q, -ts)
             for i in range(img.shape[1]):
                 X, Xc = img[:, i][V], conj[:, i][V]
                 row_bad |= matmul_mod(X, (Xc * (sizes % q) % q).T, q) != row_diag

@@ -54,21 +54,26 @@ def cyclotomic_poly(m: int) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def reduction_rows(m: int) -> np.ndarray:
-    """Matrix (m x phi(m)) whose row j gives zeta_m^j over the power basis."""
+    """Matrix (m x phi(m)) whose row j gives zeta_m^j over the power basis,
+    int64 unless an entry reaches 2^60.  Row j + 1 is row j shifted up one
+    power, less its last entry times Phi_m's lower coefficients; a bound on
+    the entries, grown by |carry| max|coefficient| per row, moves the rows
+    to Python ints before int64 arithmetic could overflow."""
     phi = euler_phi(m)
-    top = list(cyclotomic_poly(m)[:phi])
-    rows: List[List[int]] = []
-    cur = [1] + [0] * (phi - 1)
-    for _ in range(m):
-        rows.append(cur)
-        carry = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
+    top = np.array(cyclotomic_poly(m)[:phi])
+    step = int(np.abs(top).max())
+    out = np.eye(m, phi, dtype=np.int64)
+    bound = 1
+    for j in range(phi, m):
+        carry = int(out[j - 1, -1])
+        out[j, 1:] = out[j - 1, :-1]
         if carry:
-            nxt = [a - carry * b for a, b in zip(nxt, top)]
-        cur = nxt
-    big = max(abs(c) for row in rows for c in row)
-    dtype = np.int64 if big < 2**60 else object
-    out = np.array(rows, dtype=dtype)
+            bound += abs(carry) * step
+            if bound >= 2**60 and out.dtype == np.int64:
+                out, top = out.astype(object), top.astype(object)
+            out[j] -= carry * top
+    if out.dtype == object and int(np.abs(out).max()) < 2**60:
+        out = out.astype(np.int64)
     out.setflags(write=False)
     return out
 

@@ -219,6 +219,25 @@ def complement_start_by_null_space(J: np.ndarray, e: int, omega: int, q: int) ->
     return rref_mod(nullspace_mod(conjugated, q), q)[0]
 
 
+def reduction_rows_by_lists(m: int, top: Sequence[int]) -> np.ndarray:
+    """Rows zeta_m^j, j < m, over the power basis of Q(zeta_m), for the
+    lower coefficients ``top`` of Phi_m: x^phi = -sum_i top[i] x^i, applied
+    to one Python-int row after another.  int64 when every entry is below
+    2^60 in absolute value, Python ints otherwise."""
+    phi = len(top)
+    rows: List[List[int]] = []
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(m):
+        rows.append(cur)
+        carry = cur[phi - 1]
+        nxt = [0] + cur[: phi - 1]
+        if carry:
+            nxt = [a - carry * b for a, b in zip(nxt, top)]
+        cur = nxt
+    big = max(abs(c) for row in rows for c in row)
+    return np.array(rows, dtype=np.int64 if big < 2**60 else object)
+
+
 def power_map(G: FiniteGroup, C: ClassData, k: int) -> Tuple[int, ...]:
     """Map class(g) to class(g^k), each representative's permutation raised on its own."""
     return tuple(C.class_of[G.index_of(power(tuple(G.rows[r].tolist()), k))] for r in C.reps)

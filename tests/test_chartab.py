@@ -527,12 +527,15 @@ class TestDistinctValueWork:
         C = conjugacy_classes(G)
         mt = compute_mod_table(G)
         q, e, k = mt.q, mt.exponent, C.num_classes
+        # The linear rows omega_root^J, then the split's rows.
+        chi_q = np.vstack([[[pow(mt.omega_root, j, q) for j in row] for row in mt.linear.tolist()],
+                           mt.chi]).astype(np.int64)
         rows = [[None] * k for _ in range(k)]
         keys = set()
         for c in range(k):
             g = C.reps[c]
             m = G.orders()[g]
-            chi = mt.chi[:, [C.class_of[x] for x in G.powers(g, m)]]
+            chi = chi_q[:, [C.class_of[x] for x in G.powers(g, m)]]
             om = pow(mt.omega_root, e // m, q)
             W = np.array([[pow(om, -j * t % m, q) for j in range(m)] for t in range(m)],
                          dtype=np.int64)
@@ -719,13 +722,13 @@ class TestOrbitLift:
 
     @staticmethod
     def planted_cell(G):
-        """A nonlinear row and a class that is not the first of its orbit."""
+        """A row of the split and a class that is not the first of its orbit."""
         from oracles import galois_class_orbits
 
         C = conjugacy_classes(G)
         mt = compute_mod_table(G)
         orbit = next(o for o in galois_class_orbits(G, C, mt.exponent) if len(o) > 1)
-        return mt, len(mt.linear), max(orbit)
+        return mt, 0, max(orbit)
 
     def test_planted_fault_in_a_filled_column(self, monkeypatch):
         from acdlab.errors import EngineInvariantError
@@ -738,27 +741,73 @@ class TestOrbitLift:
         with pytest.raises(EngineInvariantError, match="multiplicities must sum to the degree"):
             character_table(G)
 
-    def test_inexact_product_fails_the_orbit_check(self, monkeypatch):
-        # The orbit check restates the inverse transform, so only an inexact
-        # product can fail it.  With the modular table fixed, the lift's only
-        # products with a non-square right operand (m x units) are the orbit
-        # checks; one entry off there must raise.
+    def test_inexact_product_fails_the_table_guard(self, monkeypatch):
+        # Moving m units between two columns of one row of a transform
+        # product moves one unit between two multiplicities: they stay
+        # integers with the same sum, so only the check of the finished table
+        # can catch it.  With the modular table fixed, the lift's first
+        # product with a square m x m right operand, m > 2, is a transform.
         from acdlab.errors import EngineInvariantError
 
         G = build(parse_group_spec("F(13,3)"))
         mt = compute_mod_table(G)
         real = chartab.matmul_mod
+        moved = []
 
         def inexact(A, B, q):
             out = real(A, B, q)
-            if B.shape[0] != B.shape[1]:
-                out[0, -1] = (out[0, -1] + 1) % q
+            m = B.shape[0]
+            if not moved and B.shape == (m, m) and m > 2:
+                src = int(np.argmax(out[0] * pow(m, -1, q) % q))  # a multiplicity of at least 1
+                dst = (src + 1) % m
+                out[0, src] = (out[0, src] - m) % q
+                out[0, dst] = (out[0, dst] + m) % q
+                moved.append(m)
             return out
 
         monkeypatch.setattr(chartab, "compute_mod_table", lambda H: mt)
         monkeypatch.setattr(chartab, "matmul_mod", inexact)
-        with pytest.raises(EngineInvariantError, match="Galois orbit must reduce to its modular values"):
+        with pytest.raises(EngineInvariantError, match="the lifted table must reduce to the modular table"):
             character_table(G)
+        assert moved
+
+    # One nonlinear value (its multiplicities sum past 1) comes out +1.
+    WRONG_VALUE = (
+        "real = chartab.CyclotomicValue\n"
+        "planted = []\n"
+        "def off_by_one(m, terms):\n"
+        "    v = real(m, terms)\n"
+        "    if not planted and sum(terms.values()) > 1:\n"
+        "        planted.append(v)\n"
+        "        return v + 1\n"
+        "    return v\n"
+        "chartab.CyclotomicValue = off_by_one\n"
+    )
+
+    def test_wrong_lifted_value_fails_the_table_guard(self, monkeypatch):
+        from acdlab.errors import EngineInvariantError
+
+        scope = {"chartab": chartab}
+        exec(self.WRONG_VALUE, scope)
+        monkeypatch.setattr(chartab, "CyclotomicValue", scope["off_by_one"])
+        with pytest.raises(EngineInvariantError, match="the lifted table must reduce to the modular table"):
+            character_table(build(parse_group_spec("F(13,3)")))
+        assert scope["planted"]
+
+    def test_wrong_lifted_value_under_python_O(self):
+        code = (
+            "assert False\n"
+            "import acdlab.chartab as chartab\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            + self.WRONG_VALUE
+            + "chartab.character_table(build(parse_group_spec('F(13,3)')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: the lifted table must reduce to the modular table"), proc.stderr
 
     def test_planted_fault_under_python_O(self):
         _, r, c = self.planted_cell(build(parse_group_spec("F(13,3)")))
@@ -1260,7 +1309,33 @@ class TestInternals:
         assert len(shapes) <= 2, shapes
         mt = compute_mod_table(G)
         assert mt.q == q
-        # Central characters omega(K_c) = |K_c| chi(g_c) / chi(1), rebuilt from chi.
+        # Central characters omega(K_c) = |K_c| chi(g_c) / chi(1), rebuilt
+        # from the linear rows omega_root^J and the split's rows of chi.
+        chi = [[pow(mt.omega_root, j, q) for j in row] for row in mt.linear.tolist()] + mt.chi.tolist()
         omega = [[int(x) * size * pow(d, -1, q) % q for x, size in zip(row, C.sizes)]
-                 for row, d in zip(mt.chi.tolist(), mt.degrees)]
+                 for row, d in zip(chi, mt.degrees)]
         assert sorted(map(tuple, np.array(rows).tolist())) == sorted(map(tuple, omega))
+
+    @pytest.mark.parametrize("text", ["C(60)", "C(2)*C(90)"])
+    def test_abelian_mod_table_is_its_linear_characters(self, cache, monkeypatch, text):
+        # Every character is linear, so the modular table is the exponent
+        # rows alone: no split, no root powers, no degree square roots.
+        def refuse(*args):
+            raise AssertionError("modular arithmetic beyond the linear characters")
+
+        for name in ("_complement_start", "_split_eigenspaces", "_root_powers", "sqrt_mod", "matmul_mod"):
+            monkeypatch.setattr(chartab, name, refuse)
+        G = cache.group(text)
+        k = conjugacy_classes(G).num_classes
+        mt = compute_mod_table(G)
+        assert mt.chi.shape == (0, k) and mt.linear.shape == (k, k)
+        assert mt.degrees == (1,) * k
+
+    def test_mod_table_holds_the_split_rows(self, cache):
+        G = cache.group("S(4)")
+        k = conjugacy_classes(G).num_classes
+        mt = compute_mod_table(G)
+        n_lin = len(mt.linear)
+        assert n_lin == 2 and mt.chi.shape == (k - n_lin, k)
+        assert mt.degrees[:n_lin] == (1, 1) and sorted(mt.degrees[n_lin:]) == [2, 3, 3]
+        assert mt.chi[:, 0].tolist() == list(mt.degrees[n_lin:])

@@ -29,6 +29,7 @@ from acdlab.cyclotomic import (
     zeta,
 )
 from acdlab.errors import DomainError, EngineInvariantError, InputError
+from acdlab.number_theory import euler_phi
 
 
 def numeric(x: CyclotomicValue) -> complex:
@@ -311,6 +312,33 @@ class TestGaloisLargeConductors:
         assert "reduction_rows" in cached
         assert {name: list(inspect.signature(fn).parameters) for name, fn in cached.items()} == {
             name: ["m"] for name in cached}
+
+
+class TestReductionRows:
+    """reduction_rows on int64 rows against the recurrence on Python-int lists."""
+
+    @pytest.mark.parametrize("m", [1, 2, 105, 385, 1001, 4000])
+    def test_equals_the_list_recurrence(self, m):
+        from oracles import reduction_rows_by_lists
+
+        got = cyclotomic.reduction_rows(m)
+        want = reduction_rows_by_lists(m, cyclotomic.cyclotomic_poly(m)[:euler_phi(m)])
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+    def test_large_entries_switch_to_python_ints(self, monkeypatch):
+        # A made-up Phi_30 with a coefficient 2^40 at x^7: the carries grow
+        # past int64 within a few rows, so the rows finish as Python ints.
+        from oracles import reduction_rows_by_lists
+
+        top = (1, 0, -1, 0, 3, 0, -1, 2**40)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", lambda m: top + (1,))
+        got = cyclotomic.reduction_rows.__wrapped__(30)
+        want = reduction_rows_by_lists(30, top)
+        assert got.dtype == want.dtype == object
+        assert got.tolist() == want.tolist()
+        assert max(abs(c) for row in got.tolist() for c in row) > 2**63
 
 
 class TestTwistRows:
