@@ -494,15 +494,14 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     if len(trivial) != 1:
         raise EngineInvariantError("exactly one trivial character")
     # Sort the rows by degree, then by their values' sort keys column by
-    # column: rank the distinct values once (equal keys, equal ranks) and
-    # sort the rank rows; np.lexsort is stable and takes its last key first.
+    # column: the values are distinct, so are their sort keys, and a value's
+    # rank is its place in one sort of them.  np.lexsort is stable and takes
+    # its last key first.
     keys = [v.sort_key() for v in values]
-    by_key = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(keys)
-    for prev, cur in zip(by_key, by_key[1:]):
-        rank[cur] = rank[prev] + (keys[cur] != keys[prev])
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
     others = np.array([r for r in range(k) if r != trivial[0]], dtype=np.int64)
-    sort_keys = np.vstack([np.asarray(rank, dtype=np.int32)[ids[others]].T[::-1],
+    sort_keys = np.vstack([rank[ids[others]].T[::-1],
                            np.asarray(mt.degrees, dtype=np.int32)[others]])
     perm = np.array(trivial + others[np.lexsort(sort_keys)].tolist())
     degrees = tuple(mt.degrees[r] for r in perm)

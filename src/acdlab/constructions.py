@@ -14,8 +14,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConstructionError, EngineInvariantError, InputError
-from .group import FiniteGroup, SubgroupHandle, generate_group
-from .number_theory import divisors, is_prime, multiplicative_order
+from .group import FiniteGroup, SubgroupHandle, check_size, generate_group
+from .linalg_mod import rref_mod
+from .number_theory import divisors, is_prime, multiplicative_order, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def validate_spec(spec: GroupSpec) -> None:
         for mat in spec.matrices:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ConstructionError("matrices must be square and of equal size")
-            if _det_mod(mat, p) == 0:
+            if len(rref_mod([[x % p for x in row] for row in mat], p)[1]) < n:
                 raise ConstructionError(f"matrix {mat} is singular mod {p}")
     elif isinstance(spec, Quaternion8):
         pass
@@ -152,128 +153,74 @@ def validate_spec(spec: GroupSpec) -> None:
         raise InputError(f"unknown spec {spec!r}")
 
 
-def _det_mod(mat: Sequence[Sequence[int]], p: int) -> int:
-    n = len(mat)
-    rows = [[x % p for x in row] for row in mat]
-    det = 1
-    for c in range(n):
-        sel = next((r for r in range(c, n) if rows[r][c]), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            det = -det
-        det = det * rows[c][c] % p
-        inv = pow(rows[c][c], -1, p)
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv % p
-            if f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
-    return det % p
-
-
 # -- finite field helpers ----------------------------------------------------
+# F_{p^a} = F_p[x]/(f) is worked in through the a x a companion matrix X of f:
+# column j of X holds x * x^j mod f, so u(X) is the matrix of multiplication
+# by u on the basis 1, x, ..., x^(a-1), and u(X) = 0 exactly when f | u.
 
 
-def _poly_mul_mod(u: Sequence[int], v: Sequence[int], f: Sequence[int], p: int) -> Tuple[int, ...]:
-    a = len(f) - 1
-    out = [0] * (2 * a - 1) if a > 1 else [0]
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    for i in range(len(out) - 1, a - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(a):
-                out[i - a + j] = (out[i - a + j] - c * f[j]) % p
-    return tuple(out[:a])
+def _mat_pow(M: np.ndarray, n: int, p: int) -> np.ndarray:
+    """M^n mod p by squaring.  The int64 products are exact for the field
+    builders' matrices: p^a <= MAX_DEGREE keeps a (p - 1)^2 below 2^33."""
+    out = np.eye(len(M), dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ M % p
+        M = M @ M % p
+        n >>= 1
+    return out
 
 
-def _trial_divides(g: Sequence[int], f: Sequence[int], p: int) -> bool:
-    rem = [x % p for x in f]
-    dg = len(g) - 1
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        lead = rem[-1] * pow(g[-1], -1, p) % p
-        off = len(rem) - 1 - dg
-        for j in range(dg + 1):
-            rem[off + j] = (rem[off + j] - lead * g[j]) % p
-    return not any(rem)
+def _companion(low: Sequence[int], p: int) -> np.ndarray:
+    """Companion matrix of the monic f with low coefficients ``low``."""
+    X = np.eye(len(low), k=-1, dtype=np.int64)
+    X[:, -1] = np.negative(low) % p
+    return X
 
 
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    a = len(f) - 1
-    if a == 1:
-        return True
-    # Small fields only: trial-divide by every monic polynomial of degree
-    # up to a//2.
-    for dg in range(1, a // 2 + 1):
-        for code in range(p**dg):
-            g = _digits(code, p, dg) + (1,)
-            if _trial_divides(g, f, p):
-                return False
-    return True
-
-
-def _digits(v: int, p: int, a: int) -> Tuple[int, ...]:
-    out = []
-    for _ in range(a):
-        out.append(v % p)
-        v //= p
-    return tuple(out)
+def _rabin_irreducible(X: np.ndarray, p: int) -> bool:
+    """Rabin's test on the companion matrix X of f, of degree a: f is irreducible
+    iff X^(p^a) = X and X^(p^(a/r)) - X is invertible for every prime r | a."""
+    a = len(X)
+    return np.array_equal(_mat_pow(X, p**a, p), X) and all(
+        len(rref_mod(_mat_pow(X, p ** (a // r), p) - X, p)[1]) == a for r in prime_divisors(a))
 
 
 def _field_modulus(p: int, a: int) -> Tuple[int, ...]:
     """Smallest monic irreducible polynomial of degree a over F_p, by the
     integer code of its coefficient vector."""
-    for code in range(p**a):
-        f = _digits(code, p, a) + (1,)
-        if _is_irreducible(f, p):
-            return f
+    for low in _vectors(p, a)[0].tolist():
+        if _rabin_irreducible(_companion(low, p), p):
+            return tuple(low) + (1,)
     raise EngineInvariantError(f"no monic irreducible polynomial of degree {a} over F_{p}")
 
 
 def _multiplication_matrix(p: int, a: int, d: int) -> List[Tuple[int, ...]]:
-    """The a x a matrix over F_p of multiplication by an element h of order d
-    in F_{p^a}: column j holds the coefficients of h * x^j mod f."""
-    size = p**a
-    f = _field_modulus(p, a)
-    elems = [_digits(v, p, a) for v in range(size)]
-    mul_order = size - 1
-    g_idx = None
-    for cand in range(2, size):
-        u = elems[cand]
-        order, acc = 1, u
-        while acc != elems[1]:
-            acc = _poly_mul_mod(acc, u, f, p)
-            order += 1
-        if order == mul_order:
-            g_idx = cand
-            break
-    if g_idx is None:
-        raise EngineInvariantError("multiplicative group of a finite field is cyclic")
-    h = elems[1]
-    for _ in range(mul_order // d):
-        h = _poly_mul_mod(h, elems[g_idx], f, p)
-    return list(zip(*(_poly_mul_mod(elems[p**j], h, f, p) for j in range(a))))
+    """The a x a matrix over F_p of multiplication by h = g^((p^a - 1)/d),
+    for g the primitive element of least code: column j holds h * x^j mod f."""
+    order = p**a - 1
+    X = _companion(_field_modulus(p, a)[:a], p)
+    powers = np.array([_mat_pow(X, j, p) for j in range(a)])
+    for code in _vectors(p, a)[0][2:]:
+        U = np.tensordot(code, powers, 1) % p
+        if all(not np.array_equal(_mat_pow(U, order // r, p), powers[0]) for r in prime_divisors(order)):
+            return [tuple(row) for row in _mat_pow(U, order // d, p).tolist()]
+    raise EngineInvariantError("multiplicative group of a finite field is cyclic")
 
 
 def _vectors(p: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The p^n vectors of F_p^n as digit rows (point v has the base-p digits
     of v, least significant first), and the place values that number them."""
-    digits = np.array([_digits(v, p, n) for v in range(p**n)], dtype=np.int64)
-    return digits.reshape(p**n, n), p ** np.arange(n, dtype=np.int64)
+    powers = p ** np.arange(n, dtype=np.int64)
+    return np.arange(p**n, dtype=np.int64)[:, None] // powers % p, powers
 
 
 def _semidirect_group(p: int, n: int, matrices: Sequence[Sequence[Sequence[int]]],
                       cap: Optional[int]) -> FiniteGroup:
     """F_p^n rtimes <matrices> on the p^n vectors: the n unit translations,
-    then one generator per matrix acting on column vectors."""
+    then one generator per matrix acting on column vectors.  The translations
+    alone have order p^n: past the cap or degree limit, nothing is built."""
+    check_size(p**n, p**n, cap)
     vecs, powers = _vectors(p, n)
     gens = [(vecs + unit) % p @ powers for unit in np.eye(n, dtype=np.int64)]
     for mat in matrices:
@@ -319,6 +266,7 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
         return generate_group([three, big], degree=n, cap=cap)
     if isinstance(spec, FieldSemidirect):
         p, a, d = spec.p, spec.a, spec.d
+        check_size(p**a, d * p**a, cap)
         G = _semidirect_group(p, a, [_multiplication_matrix(p, a, d)] if d > 1 else [], cap)
         if G.order != d * p**a:
             raise EngineInvariantError(f"field semidirect product has order {G.order}, not {d * p**a}")

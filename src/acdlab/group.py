@@ -48,6 +48,16 @@ def resolve_order_cap(cap: Optional[int] = None) -> int:
     return DEFAULT_ORDER_CAP
 
 
+def check_size(degree: int, order: int, cap: Optional[int] = None) -> None:
+    """Raise generate_group's errors for a group of at least ``order``
+    elements on ``degree`` points, before anything is built."""
+    if degree > MAX_DEGREE:
+        raise InputError(f"degree {degree} exceeds the limit of {MAX_DEGREE} points")
+    cap = resolve_order_cap(cap)
+    if order > cap:
+        raise SizeLimitError(f"group order exceeds cap {cap}; raise {ORDER_CAP_ENV} to allow larger groups")
+
+
 class FiniteGroup:
     """A finite permutation group with a fixed canonical element order.
 
@@ -221,8 +231,7 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
         deg = 1 if degree is None else degree
         if deg < 1:
             raise InputError("degree must be at least 1")
-    if deg > MAX_DEGREE:
-        raise InputError(f"degree {deg} exceeds the limit of {MAX_DEGREE} points")
+    check_size(deg, 1, cap)
     ident = tuple(range(deg))
     gen_perms = [g for g in gen_perms if g != ident]
 
@@ -246,8 +255,7 @@ def generate_group(gens: Iterable[Sequence[int]], *, degree: Optional[int] = Non
                 j = index[key] = len(index)
                 new_rows.append(r)
                 if j >= cap:
-                    raise SizeLimitError(
-                        f"group order exceeds cap {cap}; raise {ORDER_CAP_ENV} to allow larger groups")
+                    check_size(deg, j + 1, cap)
             ids.append(j)
         right.append(np.array(ids, dtype=np.int32).reshape(-1, ngens))
         block = prods[new_rows]

@@ -316,3 +316,111 @@ def table_to_json_dict(T: CharacterTable) -> Dict:
     k = T.num_chars
     data["values"] = [[T.value(r, c).to_json_dict() for c in range(k)] for r in range(k)]
     return data
+
+
+# -- finite fields by polynomial arithmetic ------------------------------------
+
+
+def det_mod(mat: Sequence[Sequence[int]], p: int) -> int:
+    """Determinant mod p by Gaussian elimination on Python integers."""
+    n = len(mat)
+    rows = [[x % p for x in row] for row in mat]
+    det = 1
+    for c in range(n):
+        sel = next((r for r in range(c, n) if rows[r][c]), None)
+        if sel is None:
+            return 0
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return det % p
+
+
+def digits(v: int, p: int, a: int) -> Tuple[int, ...]:
+    """The a base-p digits of v, least significant first."""
+    return tuple(v // p**j % p for j in range(a))
+
+
+def poly_mul_mod(u: Sequence[int], v: Sequence[int], f: Sequence[int], p: int) -> Tuple[int, ...]:
+    """u * v mod the monic f over F_p, coefficients low first."""
+    a = len(f) - 1
+    out = [0] * (2 * a - 1) if a > 1 else [0]
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                out[i + j] = (out[i + j] + ui * vj) % p
+    for i in range(len(out) - 1, a - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(a):
+                out[i - a + j] = (out[i - a + j] - c * f[j]) % p
+    return tuple(out[:a])
+
+
+def trial_divides(g: Sequence[int], f: Sequence[int], p: int) -> bool:
+    rem = [x % p for x in f]
+    dg = len(g) - 1
+    while len(rem) - 1 >= dg and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dg:
+            break
+        lead = rem[-1] * pow(g[-1], -1, p) % p
+        off = len(rem) - 1 - dg
+        for j in range(dg + 1):
+            rem[off + j] = (rem[off + j] - lead * g[j]) % p
+    return not any(rem)
+
+
+def is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree up to a // 2."""
+    a = len(f) - 1
+    return not any(trial_divides(digits(code, p, dg) + (1,), f, p)
+                   for dg in range(1, a // 2 + 1) for code in range(p**dg))
+
+
+def field_modulus(p: int, a: int) -> Tuple[int, ...]:
+    """Smallest monic irreducible polynomial of degree a over F_p by code."""
+    return next(f for f in (digits(code, p, a) + (1,) for code in range(p**a))
+                if is_irreducible(f, p))
+
+
+def multiplication_matrix(p: int, a: int, d: int) -> List[Tuple[int, ...]]:
+    """Multiplication by g^((p^a - 1)/d) in F_p[x]/(f), g the primitive
+    element of least code found by counting each candidate's order: column j
+    holds h * x^j mod f."""
+    size = p**a
+    f = field_modulus(p, a)
+    one = digits(1, p, a)
+    for cand in range(2, size):
+        u = digits(cand, p, a)
+        order, acc = 1, u
+        while acc != one:
+            acc = poly_mul_mod(acc, u, f, p)
+            order += 1
+        if order == size - 1:
+            break
+    h = one
+    for _ in range((size - 1) // d):
+        h = poly_mul_mod(h, u, f, p)
+    return list(zip(*(poly_mul_mod(digits(p**j, p, a), h, f, p) for j in range(a))))
+
+
+def nullspace_by_loops(A: np.ndarray, q: int) -> np.ndarray:
+    """Right null space basis mod q, one free column at a time."""
+    R, pivots = rref_mod(A, q)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-int(R[i, fc])) % q
+    return basis

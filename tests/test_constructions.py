@@ -1,7 +1,16 @@
-"""Group builders: orders, validation, and the default catalog's invariants."""
+"""Group builders: orders, validation, field arithmetic against polynomial
+arithmetic, size refusals, and the default catalog's invariants."""
+
+import random
+import resource
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
+
+import acdlab.constructions as constructions
 
 from acdlab.constructions import (
     Alternating,
@@ -19,7 +28,7 @@ from acdlab.constructions import (
     translation_subgroup,
     validate_spec,
 )
-from acdlab.errors import ConstructionError, EngineInvariantError, InputError
+from acdlab.errors import ConstructionError, EngineInvariantError, InputError, SizeLimitError
 from acdlab.group import (
     center,
     conjugacy_classes,
@@ -27,8 +36,9 @@ from acdlab.group import (
     is_solvable,
     subgroup_as_group,
 )
-from acdlab.number_theory import multiplicative_order
+from acdlab.number_theory import divisors, is_prime, multiplicative_order
 
+import oracles
 from oracles import compose, elements
 
 
@@ -168,12 +178,114 @@ class TestValidation:
         validate_spec(MatrixSemidirect(2, (((1, 2), (2, 1)),)))
 
     def test_missing_field_modulus_is_typed(self, monkeypatch):
-        import acdlab.constructions as constructions
-
         assert constructions._field_modulus(2, 3) == (1, 1, 0, 1)
-        monkeypatch.setattr(constructions, "_is_irreducible", lambda f, p: False)
+        monkeypatch.setattr(constructions, "_rabin_irreducible", lambda X, p: False)
         with pytest.raises(EngineInvariantError, match="irreducible"):
             constructions._field_modulus(2, 3)
+
+    def test_singular_verdict_matches_determinant(self):
+        # Sizes 1-4 over small primes; small entries make singular matrices
+        # common, and entries near 10^20 overflow int64 unless reduced first.
+        rng = random.Random(23)
+        verdicts = set()
+        for _ in range(3000):
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            n = rng.randint(1, 4)
+            big = rng.random() < 0.5
+            mat = tuple(tuple(rng.randint(-10**20, 10**20) if big else rng.randint(-50, 50)
+                              for _ in range(n)) for _ in range(n))
+            singular = oracles.det_mod(mat, p) == 0
+            try:
+                validate_spec(MatrixSemidirect(p, (mat,)))
+                verdicts.add(False)
+                assert not singular, (mat, p)
+            except ConstructionError as exc:
+                verdicts.add(True)
+                assert singular and "singular" in str(exc), (mat, p)
+        assert verdicts == {False, True}
+
+
+def _field_cases(limit):
+    """(p, a) for every prime power p^a <= limit with a >= 2, and (p, 1) for
+    every prime p < 500."""
+    primes = [p for p in range(2, 500) if is_prime(p)]
+    out = [(p, 1) for p in primes]
+    for p in primes:
+        a = 2
+        while p**a <= limit:
+            out.append((p, a))
+            a += 1
+    return out
+
+
+class TestFieldArithmetic:
+    """Companion-matrix field arithmetic against polynomial arithmetic over F_p."""
+
+    def test_field_modulus_matches_trial_division(self):
+        for p, a in _field_cases(2000):
+            assert constructions._field_modulus(p, a) == oracles.field_modulus(p, a), (p, a)
+
+    def test_multiplication_matrices_match_order_counting(self):
+        count = 0
+        for p, a in _field_cases(2000):
+            for d in divisors(p**a - 1):
+                if d > 1 and d * p**a <= 20000 and multiplicative_order(p, d) == a:
+                    got = constructions._multiplication_matrix(p, a, d)
+                    assert got == oracles.multiplication_matrix(p, a, d), (p, a, d)
+                    count += 1
+        assert count > 700
+
+    def test_vectors_are_base_p_digits(self):
+        digits, powers = constructions._vectors(3, 4)
+        assert digits.tolist() == [list(oracles.digits(v, 3, 4)) for v in range(81)]
+        assert (digits @ powers).tolist() == list(range(81))
+
+
+class TestSizeRefusal:
+    """Specs whose order or degree is past the limits are refused before any
+    vector or field matrix is built."""
+
+    @pytest.fixture
+    def no_building(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("built past the size check")
+
+        monkeypatch.setattr(constructions, "_vectors", fail)
+        monkeypatch.setattr(constructions, "_multiplication_matrix", fail)
+
+    @pytest.mark.parametrize("spec", [
+        FieldSemidirect(5, 6, 7),
+        FieldSemidirect(3, 10, 59048),
+        MatrixSemidirect(3, (tuple(tuple(int(i == j) for j in range(10)) for i in range(10)),)),
+    ])
+    def test_over_cap(self, no_building, spec):
+        with pytest.raises(SizeLimitError, match="exceeds cap 20000"):
+            build(spec, cap=20000)
+
+    def test_field_semidirect_order_counts_the_complement(self, no_building):
+        # 5^6 points fit under the cap; 7 * 5^6 elements do not.
+        with pytest.raises(SizeLimitError, match="exceeds cap 100000"):
+            build(FieldSemidirect(5, 6, 7), cap=100000)
+
+    @pytest.mark.parametrize("spec,cap", [
+        (FieldSemidirect(2, 20, 1048575), 20000),  # as generate_group: degree first
+        (FieldSemidirect(2, 17, 131071), 10**12),
+        (MatrixSemidirect(2, (tuple(tuple(int(i == j) for j in range(17)) for i in range(17)),)), 10**12),
+    ])
+    def test_over_degree_limit(self, no_building, spec, cap):
+        with pytest.raises(InputError, match="exceeds the limit of 65535 points"):
+            build(spec, cap=cap)
+
+    def test_cli_exits_fast_under_memory_limit(self):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+        for text in ("SD(5,6,7)", "SD(3,10,59048)", "SD(2,20,1048575)"):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "acdlab", "table", text],
+                                  capture_output=True, text=True, timeout=60, preexec_fn=limit)
+            assert time.perf_counter() - start < 5, text
+            assert proc.returncode == 1 and proc.stderr.startswith("error:"), (text, proc.stderr)
 
 
 class TestTranslationSubgroup:

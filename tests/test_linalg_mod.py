@@ -1,6 +1,6 @@
 """The one exact product mod q, ``matmul_mod``, against Python-integer
-products, a guard that no other dense product mod q is written inline, and
-root multiplicities of polynomials with known factors."""
+products, a guard that no other dense product mod q is written inline, root
+multiplicities of polynomials with known factors, and null spaces."""
 
 import ast
 from math import isqrt
@@ -11,7 +11,11 @@ import pytest
 
 from acdlab import chartab, linalg_mod
 from acdlab.errors import InputError
-from acdlab.linalg_mod import _quotients_by_roots, _root_multiplicities, matmul_mod, poly_roots_mod
+from acdlab.linalg_mod import (
+    _quotients_by_roots, _root_multiplicities, matmul_mod, nullspace_mod, poly_roots_mod, rref_mod,
+)
+
+from oracles import nullspace_by_loops
 
 
 def integer_product(A, B, q):
@@ -93,6 +97,25 @@ def test_root_multiplicities_of_expanded_products(q, mults, quadratic):
         f = np.convolve(f, g) % q
     assert poly_roots_mod(f, q) == roots
     assert _root_multiplicities(f, roots, q).tolist() == [mults[lam] for lam in roots]
+
+
+def test_nullspace_against_loops():
+    rng = np.random.default_rng(29)
+    ranks = set()
+    for _ in range(300):
+        q = int(rng.choice([2, 3, 7, 101]))
+        rows, cols = (int(x) for x in rng.integers(0, 7, size=2))
+        A = rng.integers(0, q, size=(rows, cols))
+        if rows > 1 and rng.random() < 0.5:  # rank-deficient: a low-rank product
+            inner = int(rng.integers(0, rows))
+            A = rng.integers(0, q, size=(rows, inner)) @ rng.integers(0, q, size=(inner, cols)) % q
+        N = nullspace_mod(A, q)
+        rank = len(rref_mod(A, q)[1])
+        ranks.add(rank < min(rows, cols))
+        assert N.shape == (cols - rank, cols)
+        assert not (np.asarray(A, dtype=np.int64) @ N.T % q).any()
+        assert N.tolist() == nullspace_by_loops(A, q).tolist()
+    assert ranks == {False, True}
 
 
 def test_only_matmul_mod_multiplies_matrices():
