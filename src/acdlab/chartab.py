@@ -36,6 +36,7 @@ from .group import (
     ClassData,
     FiniteGroup,
     SubgroupHandle,
+    _chunk_rows,
     conjugacy_classes,
     derived_subgroup,
     exponent,
@@ -106,6 +107,8 @@ def linear_characters(G: FiniteGroup, C: ClassData, e: int) -> np.ndarray:
     index = G.order // len(D)
     coset_of = np.full(G.order, -1, dtype=np.int64)
     coset_of[D] = 0
+    ED = E[D]
+    per_chunk = max(1, _chunk_rows(G.degree) // len(D))  # representatives
     reps = np.zeros(1, dtype=np.int64)  # coset c is reps[c] G'
     J = np.zeros((1, 1), dtype=np.int64)  # J[lambda, c]: exponent of lambda on coset c
     orders = G.orders()
@@ -116,10 +119,14 @@ def linear_characters(G: FiniteGroup, C: ClassData, e: int) -> np.ndarray:
             continue
         S = len(reps)
         new = G.index_rows(E[reps][:, E[pw[1:n]]].transpose(1, 0, 2).reshape(-1, G.degree))
-        members = G.index_rows(E[new][:, E[D]].reshape(-1, G.degree))
-        if (coset_of[members] >= 0).any():
-            raise EngineInvariantError("new cosets of the derived subgroup must be disjoint from the old")
-        coset_of[members] = np.repeat(np.arange(S, S * n), len(D))
+        # The new cosets are labelled one chunk of representatives at a
+        # time, so their members' rows stay near 64 k entries.
+        labels = np.arange(S, S * n)
+        for b in range(0, len(new), per_chunk):
+            members = G.index_rows(E[new[b:b + per_chunk]][:, ED].reshape(-1, G.degree))
+            if (coset_of[members] >= 0).any():
+                raise EngineInvariantError("new cosets of the derived subgroup must be disjoint from the old")
+            coset_of[members] = np.repeat(labels[b:b + per_chunk], len(D))
         reps = np.concatenate([reps, new])
         base = J[:, coset_of[pw[n]]]
         if (base % n).any():

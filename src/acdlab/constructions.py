@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConstructionError, EngineInvariantError, InputError
-from .group import FiniteGroup, SubgroupHandle, check_size, generate_group
+from .errors import ConstructionError, EngineInvariantError, InputError, SizeLimitError
+from .group import FiniteGroup, SubgroupHandle, check_size, generate_group, resolve_order_cap
 from .linalg_mod import rref_mod
 from .number_theory import divisors, is_prime, multiplicative_order, prime_divisors
 
@@ -215,18 +215,20 @@ def _vectors(p: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(p**n, dtype=np.int64)[:, None] // powers % p, powers
 
 
-def _semidirect_group(p: int, n: int, matrices: Sequence[Sequence[Sequence[int]]],
-                      cap: Optional[int]) -> FiniteGroup:
-    """F_p^n rtimes <matrices> on the p^n vectors: the n unit translations,
-    then one generator per matrix acting on column vectors.  The translations
-    alone have order p^n: past the cap or degree limit, nothing is built."""
-    check_size(p**n, p**n, cap)
+def _matrix_action(p: int, n: int, matrices: Sequence[Sequence[Sequence[int]]]) -> List[np.ndarray]:
+    """Image rows of the matrices acting on the column vectors of F_p^n."""
+    vecs, powers = _vectors(p, n)
+    return [vecs @ np.array([[x % p for x in row] for row in mat], dtype=np.int64).T % p @ powers
+            for mat in matrices]
+
+
+def _semidirect_group(p: int, n: int, action: List[np.ndarray], cap: Optional[int]) -> FiniteGroup:
+    """F_p^n rtimes a matrix group on the p^n vectors: the n unit
+    translations, then the matrices' image rows ``action``.  The caller has
+    checked the degree and the translations' order p^n against the cap."""
     vecs, powers = _vectors(p, n)
     gens = [(vecs + unit) % p @ powers for unit in np.eye(n, dtype=np.int64)]
-    for mat in matrices:
-        M = np.array([[x % p for x in row] for row in mat], dtype=np.int64)
-        gens.append(vecs @ M.T % p @ powers)
-    return generate_group(gens, degree=p**n, cap=cap)
+    return generate_group(gens + action, degree=p**n, cap=cap)
 
 
 _Q8_I = (2, 3, 1, 0, 7, 6, 4, 5)
@@ -267,12 +269,24 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
     if isinstance(spec, FieldSemidirect):
         p, a, d = spec.p, spec.a, spec.d
         check_size(p**a, d * p**a, cap)
-        G = _semidirect_group(p, a, [_multiplication_matrix(p, a, d)] if d > 1 else [], cap)
+        mats = [_multiplication_matrix(p, a, d)] if d > 1 else []
+        G = _semidirect_group(p, a, _matrix_action(p, a, mats), cap)
         if G.order != d * p**a:
             raise EngineInvariantError(f"field semidirect product has order {G.order}, not {d * p**a}")
         return G
     if isinstance(spec, MatrixSemidirect):
-        return _semidirect_group(spec.p, len(spec.matrices[0]), spec.matrices, cap)
+        p, n = spec.p, len(spec.matrices[0])
+        cap = resolve_order_cap(cap)
+        check_size(p**n, p**n, cap)
+        # The order is p^n |<M>|: the translations are normal and meet <M>
+        # trivially.  So <M> is closed alone first, under cap // p^n, and a
+        # spec past the cap is refused before the whole closure.
+        action = _matrix_action(p, n, spec.matrices)
+        try:
+            generate_group(action, degree=p**n, cap=cap // p**n)
+        except SizeLimitError:
+            check_size(p**n, p**n * (cap // p**n + 1), cap)
+        return _semidirect_group(p, n, action, cap)
     if isinstance(spec, Quaternion8):
         return generate_group([_Q8_I, _Q8_J], degree=8, cap=cap)
     if isinstance(spec, DirectProduct):

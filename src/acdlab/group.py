@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -119,13 +120,14 @@ class FiniteGroup:
         if self._inverse is None:
             # The argsort of a permutation's image row is its inverse.  The
             # stable sort of 8- and 16-bit rows is a radix sort, linear in
-            # degree.  Its int64 result is taken in chunks of rows, so the
-            # temporary stays near 64 k entries whatever the group's order.
-            inv_rows = np.empty_like(self.rows)
-            chunk = max(1, (1 << 16) // self.degree)
+            # degree.  Each chunk of inverse rows is looked up as it is made,
+            # so its int64 rows and their keys stay near 64 k entries
+            # whatever the group's order.
+            inv = np.empty(self.order, dtype=np.int64)
+            chunk = _chunk_rows(self.degree)
             for a in range(0, self.order, chunk):
-                inv_rows[a:a + chunk] = np.argsort(self.rows[a:a + chunk], axis=1, kind="stable")
-            self._inverse = tuple(self.index_rows(inv_rows).tolist())
+                inv[a:a + chunk] = self.index_rows(np.argsort(self.rows[a:a + chunk], axis=1, kind="stable"))
+            self._inverse = tuple(inv.tolist())
         return self._inverse
 
     def orders(self) -> Tuple[int, ...]:
@@ -156,16 +158,32 @@ class FiniteGroup:
         return tuple(word)
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Map an (n, degree) array of image rows to element indices."""
-        keys = _row_keys(np.ascontiguousarray(rows, dtype=self.rows.dtype))
+        """Map an (n, degree) array of image rows to element indices.
+
+        The bytes keys are made one chunk of rows at a time, so the keys
+        alive at once stay near 64 k entries whatever n is.
+        """
+        rows = np.ascontiguousarray(rows, dtype=self.rows.dtype)
+        chunk = _chunk_rows(self.degree)
+        if len(rows) <= chunk:
+            keys: Iterable[bytes] = _row_keys(rows)
+        else:
+            keys = chain.from_iterable(_row_keys(rows[a:a + chunk]) for a in range(0, len(rows), chunk))
         try:
-            return np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64, count=len(keys))
+            return np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64, count=len(rows))
         except KeyError as missing:
             row = np.frombuffer(missing.args[0], dtype=self.rows.dtype)
             raise InputError(f"permutation {tuple(row.tolist())} is not an element of this group") from None
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
+
+
+def _chunk_rows(degree: int) -> int:
+    """Rows of ``degree`` points in one chunk of about 64 k entries: the
+    steps that make int64 work arrays or bytes keys for many rows at once
+    take them this many at a time."""
+    return max(1, (1 << 16) // degree)
 
 
 def _row_keys(rows: np.ndarray) -> List[bytes]:
@@ -176,7 +194,7 @@ def _row_keys(rows: np.ndarray) -> List[bytes]:
 def _perm_orders(rows: np.ndarray) -> np.ndarray:
     """Order of each permutation of an (n, degree) array of image rows."""
     n, deg = rows.shape
-    chunk = max(1, (1 << 16) // deg)  # rows per pass, which bounds the int64 work arrays
+    chunk = _chunk_rows(deg)  # rows per pass, which bounds the int64 work arrays
     if n > chunk:
         return np.concatenate([_perm_orders(rows[a:a + chunk]) for a in range(0, n, chunk)])
     # Number the points of all rows together, so each step is one flat gather.

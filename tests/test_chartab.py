@@ -1034,6 +1034,28 @@ class TestLinearCharacters:
             "acdlab.errors.EngineInvariantError: a linear character must be a homomorphism on G/G'"
         ), proc.stderr
 
+    def test_disjoint_coset_check_survives_python_O(self):
+        # Taken for G', the stabilizer of point 1 in SD(5,3,62) is a
+        # complement, not normal.  The second generator's new cosets meet
+        # the labelled ones in their eighth chunk of representatives.
+        code = (
+            "assert False\n"
+            "import acdlab.chartab as chartab\n"
+            "from acdlab.constructions import build\n"
+            "from acdlab.group import point_stabilizer\n"
+            "from acdlab.specparse import parse_group_spec\n"
+            "chartab.derived_subgroup = lambda G: point_stabilizer(G, 1)\n"
+            "chartab.character_table(build(parse_group_spec('SD(5,3,62)')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "AssertionError" not in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "acdlab.errors.EngineInvariantError: new cosets of the derived subgroup must be disjoint from the old"
+        ), proc.stderr
+
     def test_complement_start_matches_null_space_oracle(self, cache):
         from oracles import complement_start_by_null_space
 

@@ -241,6 +241,11 @@ class TestFieldArithmetic:
         assert (digits @ powers).tolist() == list(range(81))
 
 
+def _cyclic_shift(n):
+    """The n x n matrix moving basis vector i to i + 1 mod n: order n."""
+    return tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
+
+
 class TestSizeRefusal:
     """Specs whose order or degree is past the limits are refused before any
     vector or field matrix is built."""
@@ -276,11 +281,28 @@ class TestSizeRefusal:
         with pytest.raises(InputError, match="exceeds the limit of 65535 points"):
             build(spec, cap=cap)
 
+    def test_matrix_order_refused_before_the_whole_closure(self, monkeypatch):
+        # |G| = 2^10 * 10: the shift's own closure refuses any smaller cap.
+        spec = MatrixSemidirect(2, (_cyclic_shift(10),))
+        assert build(spec, cap=10240).order == 10240
+        caps = []
+        real = constructions.generate_group
+
+        def spy(gens, *, degree, cap):
+            caps.append(cap)
+            return real(gens, degree=degree, cap=cap)
+
+        monkeypatch.setattr(constructions, "generate_group", spy)
+        with pytest.raises(SizeLimitError, match="exceeds cap 10239"):
+            build(spec, cap=10239)
+        assert caps == [9]
+
     def test_cli_exits_fast_under_memory_limit(self):
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
-        for text in ("SD(5,6,7)", "SD(3,10,59048)", "SD(2,20,1048575)"):
+        shift = "[" + ",".join(str(list(row)).replace(" ", "") for row in _cyclic_shift(14)) + "]"
+        for text in ("SD(5,6,7)", "SD(3,10,59048)", "SD(2,20,1048575)", f"MAT(2;{shift})"):
             start = time.perf_counter()
             proc = subprocess.run([sys.executable, "-m", "acdlab", "table", text],
                                   capture_output=True, text=True, timeout=60, preexec_fn=limit)

@@ -1,5 +1,8 @@
 """Permutation group core: closure, classes, subgroup lattice, p-nilpotence."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +17,10 @@ from acdlab.constructions import (
     Symmetric,
     build,
 )
+from acdlab import chartab
 from acdlab.errors import InputError, SizeLimitError
 from acdlab.group import (
+    _chunk_rows,
     _closure,
     _products,
     center,
@@ -224,6 +229,55 @@ class TestElementStructure:
         inv = G.inverse_table()
         for i in range(G.order):
             assert mul(i, inv[i]) == 0
+
+
+class TestChunkedLookups:
+    """Lookups on SD(5,3,62): 7,750 elements of degree 125, so a lookup of
+    every element takes 15 chunks of 524 rows."""
+
+    @pytest.fixture(scope="class")
+    def G(self):
+        return build(FieldSemidirect(5, 3, 62))
+
+    def test_chunk_rows(self, G):
+        assert _chunk_rows(G.degree) == 524 and -(-G.order // 524) == 15
+        assert _chunk_rows(1 << 17) == 1
+
+    def test_index_rows_of_a_permutation(self, G):
+        perm = np.random.default_rng(24).permutation(G.order)
+        assert np.array_equal(G.index_rows(G.rows[perm]), perm)
+
+    def test_non_element_after_the_first_chunk_is_named(self, G):
+        rows = np.concatenate([G.rows, G.rows[:1]])
+        swap = np.arange(G.degree)
+        swap[[0, 1]] = [1, 0]
+        rows[600] = swap
+        named = re.escape(f"permutation {tuple(swap.tolist())} is not an element")
+        with pytest.raises(InputError, match=named):
+            G.index_rows(rows)
+
+    def test_inverse_table_matches_loop(self, G):
+        E = elements(G)
+        index = {p: i for i, p in enumerate(E)}
+        assert G.inverse_table() == tuple(index[inverse(p)] for p in E)
+
+    def test_lookups_hold_no_key_per_element(self):
+        # Unchunked, each step held a bytes key (158 B) and a row copy for
+        # every element at once: tracemalloc peaks of 2.32 MB and 2.35 MB.
+        # Chunked, they peak at 0.65 MB and 0.24 MB.
+        bound = 1_500_000
+        G = build(FieldSemidirect(5, 3, 62))
+        tracemalloc.start()
+        try:
+            G.inverse_table()
+            assert tracemalloc.get_traced_memory()[1] < bound
+            C, e = conjugacy_classes(G), exponent(G)
+            chartab.linear_characters(G, C, e)  # fills the group's caches
+            tracemalloc.reset_peak()
+            chartab.linear_characters(G, C, e)
+            assert tracemalloc.get_traced_memory()[1] < bound
+        finally:
+            tracemalloc.stop()
 
 
 def _closure_by_loop(gens):
