@@ -18,9 +18,12 @@ nonsolvable members; odd-order-only statements skip other members.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chartab import CharacterTable, character_table
@@ -33,7 +36,7 @@ from .constructions import (
     to_text,
     translation_subgroup,
 )
-from .errors import EngineInvariantError, InputError
+from .errors import InputError
 from .fieldvals import FieldSpec, format_field
 from .group import (
     SubgroupHandle,
@@ -77,31 +80,15 @@ class AuditRow:
         return (self.spec, self.p, self.field, self.statement, self.subgroup)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "statement": self.statement,
-            "spec": self.spec,
-            "order": self.order,
-            "p": self.p,
-            "field": self.field,
-            "acd": _frac(self.acd),
-            "bound": _frac(self.bound),
-            "below_bound": self.below_bound,
-            "p_nilpotent": self.p_nilpotent,
-            "verdict": self.verdict,
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.sharpness:
-            out["sharpness"] = self.sharpness
-        if self.acd_quotient is not None:
-            out["acd_quotient"] = _frac(self.acd_quotient)
-        if self.subgroup:
-            out["subgroup"] = self.subgroup
+        """The fields in order, fractions as "n/d"; an optional field is left
+        out while it holds its default."""
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.default is dataclasses.MISSING or value != f.default:
+                out[f.name] = f"{value.numerator}/{value.denominator}" \
+                    if isinstance(value, Fraction) else value
         return out
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def rows_to_jsonl(rows: Sequence[AuditRow]) -> str:
@@ -146,13 +133,19 @@ class _Bundle:
             self._acd[key] = acd(self.G, self.T, AcdQuery(field=k, p_filter=p, quotient_by=quotient))
         return self._acd[key]
 
+    def row(self, statement: str, p: int, k: FieldSpec, acd: Fraction, bound: Fraction,
+            p_nilpotent: bool, verdict: str, **extra) -> AuditRow:
+        return AuditRow(statement=statement, spec=self.text, order=self.order, p=p,
+                        field=format_field(k), acd=acd, bound=bound, below_bound=acd < bound,
+                        p_nilpotent=p_nilpotent, verdict=verdict, **extra)
+
 
 @dataclass(frozen=True)
 class _Variant:
     """One (field family, degree filter, bound) case of a p-nilpotence statement."""
 
     statement: str
-    primes: str  # which prime divisors of |G| apply: odd | two | seven | odd-not-seven
+    primes: Callable[[int], bool]  # which prime divisors of |G| apply
     fields: Callable[[int], Tuple[FieldSpec, ...]]
     p_filtered: bool
     bound: Callable[[int], Fraction]
@@ -165,6 +158,7 @@ _C = (FieldSpec.complexes(),)
 _Q = (FieldSpec.rationals(),)
 _R = (FieldSpec.reals(),)
 _TWO = Fraction(2)
+_NOT_SOLVABLE = "hypothesis failed: group is not solvable"
 
 
 def _zeta_p(p: int) -> Tuple[FieldSpec, ...]:
@@ -175,64 +169,20 @@ def _zeta_p_and_c(p: int) -> Tuple[FieldSpec, ...]:
     return (FieldSpec.cyclotomic(p), FieldSpec.complexes())
 
 
-_NILPOTENCE_VARIANTS: Dict[str, Tuple[_Variant, ...]] = {
-    "first": (
-        _Variant("first", "odd", lambda p: _C, True, lambda p: bound_f(p, 1)),
-    ),
-    "second": (
-        _Variant("second-1", "two", lambda p: _Q, True, lambda p: _TWO),
-        _Variant("second-2", "two", lambda p: _Q, False, lambda p: _TWO),
-        _Variant("second-3", "two", lambda p: _R, True, lambda p: _TWO),
-        _Variant("second-4", "two", lambda p: _R, False, lambda p: _TWO),
-    ),
-    "third": (
-        _Variant("third-1", "odd", _zeta_p, True, lambda p: bound_f(p, 1)),
-        _Variant("third-2", "odd", _zeta_p, False, lambda p: bound_f(p, 1)),
-    ),
-    "fourth": (
-        _Variant("fourth-1", "seven", lambda p: _C, True, lambda p: Fraction(9, 5),
-                 solvable_required=False, odd_order_required=True),
-        _Variant("fourth-2", "odd-not-seven", lambda p: _C, True, lambda p: _TWO,
-                 solvable_required=False, odd_order_required=True, sharpness="unknown"),
-        _Variant("fourth-3", "odd", _zeta_p, True, lambda p: _TWO,
-                 solvable_required=False, odd_order_required=True, sharpness="unknown"),
-        _Variant("fourth-4", "odd", _zeta_p, False, lambda p: _TWO,
-                 solvable_required=False, odd_order_required=True, sharpness="unknown"),
-    ),
-    "main-1": (
-        _Variant("main-1", "odd", _zeta_p_and_c, True, lambda p: bound_f(p, 1)),
-    ),
-    "main-2": (
-        _Variant("main-2", "two", lambda p: _Q, True, lambda p: _TWO),
-    ),
-    "main-3": (
-        _Variant("main-3", "seven",
-                 lambda p: (FieldSpec.cyclotomic(21), FieldSpec.complexes()),
-                 True, lambda p: Fraction(9, 5), odd_order_required=True),
-    ),
-    "main-4": (
-        _Variant("main-4", "seven", _zeta_p, True, lambda p: _TWO, odd_order_required=True),
-    ),
-    "main-5": (
-        _Variant("main-5", "odd-not-seven", _zeta_p_and_c, True, lambda p: _TWO,
-                 odd_order_required=True),
-    ),
-}
-
-_NOT_SOLVABLE = "hypothesis failed: group is not solvable"
+def _odd(p: int) -> bool:
+    return p != 2
 
 
-def _select_primes(kind: str, order: int) -> List[int]:
-    ps = prime_divisors(order)
-    if kind == "odd":
-        return [p for p in ps if p != 2]
-    if kind == "two":
-        return [p for p in ps if p == 2]
-    if kind == "seven":
-        return [p for p in ps if p == 7]
-    if kind == "odd-not-seven":
-        return [p for p in ps if p not in (2, 7)]
-    raise EngineInvariantError(f"unknown prime selection {kind!r}")
+def _two(p: int) -> bool:
+    return p == 2
+
+
+def _seven(p: int) -> bool:
+    return p == 7
+
+
+def _odd_not_seven(p: int) -> bool:
+    return p not in (2, 7)
 
 
 def _verdict(below: bool, at_bound: bool, pnil: bool, hyps_ok: bool) -> str:
@@ -243,21 +193,20 @@ def _verdict(below: bool, at_bound: bool, pnil: bool, hyps_ok: bool) -> str:
     return CONSISTENT
 
 
-def _nilpotence_rows(bundle: _Bundle, v: _Variant) -> List[AuditRow]:
-    if v.odd_order_required and bundle.order % 2 == 0:
-        return []
-    note = _NOT_SOLVABLE if v.solvable_required and not is_solvable(bundle.G) else ""
+def _nilpotence_rows(variants: Tuple[_Variant, ...], bundle: _Bundle) -> List[AuditRow]:
     rows = []
-    for p in _select_primes(v.primes, bundle.order):
-        bnd = v.bound(p)
-        pn = bundle.pnil(p)
-        for k in v.fields(p):
-            a = bundle.acd_value(k, p if v.p_filtered else None)
-            rows.append(AuditRow(
-                statement=v.statement, spec=bundle.text, order=bundle.order, p=p,
-                field=format_field(k), acd=a, bound=bnd, below_bound=a < bnd,
-                p_nilpotent=pn, verdict=_verdict(a < bnd, a == bnd, pn, not note),
-                note=note, sharpness=v.sharpness))
+    for v in variants:
+        if v.odd_order_required and bundle.order % 2 == 0:
+            continue
+        note = _NOT_SOLVABLE if v.solvable_required and not is_solvable(bundle.G) else ""
+        for p in filter(v.primes, prime_divisors(bundle.order)):
+            bnd = v.bound(p)
+            pn = bundle.pnil(p)
+            for k in v.fields(p):
+                a = bundle.acd_value(k, p if v.p_filtered else None)
+                rows.append(bundle.row(v.statement, p, k, a, bnd, pn,
+                                       _verdict(a < bnd, a == bnd, pn, not note),
+                                       note=note, sharpness=v.sharpness))
     return rows
 
 
@@ -300,25 +249,17 @@ def _cent_k_rows(bundle: _Bundle) -> List[AuditRow]:
             for label, K in ks:
                 aq = bundle.acd_value(k, p, quotient=K)
                 bad = aq > a
-                rows.append(AuditRow(
-                    statement="acd-cent-k", spec=bundle.text, order=bundle.order, p=p,
-                    field=format_field(k), acd=a, bound=_TWO, below_bound=a < _TWO,
-                    p_nilpotent=pn,
-                    verdict=COUNTEREXAMPLE if bad else _verdict(False, a == _TWO, pn, True),
+                rows.append(bundle.row(
+                    "acd-cent-k", p, k, a, _TWO, pn,
+                    COUNTEREXAMPLE if bad else _verdict(False, a == _TWO, pn, True),
                     note="quotient average exceeds group average" if bad else "",
                     acd_quotient=aq, subgroup=label))
     return rows
 
 
 def _abelian3_fields(p: int, d: int) -> List[FieldSpec]:
-    seen: Dict[FieldSpec, None] = {}
-    for m in divisors(d * p):
-        k = FieldSpec.cyclotomic(m)
-        if k.contains_root_of_unity(p):
-            seen[k] = None
-    out = sorted(seen, key=lambda k: k.m)
-    out.append(FieldSpec.complexes())
-    return out
+    fields = {k for k in map(FieldSpec.cyclotomic, divisors(d * p)) if k.contains_root_of_unity(p)}
+    return sorted(fields, key=lambda k: k.m) + [FieldSpec.complexes()]
 
 
 def _abelian3_index(d: int, k: FieldSpec) -> int:
@@ -342,10 +283,8 @@ def _abelian3_rows(bundle: _Bundle) -> List[AuditRow]:
         expected = abelian3_formula(p, a, d, _abelian3_index(d, k))
         got = bundle.acd_value(k, None)
         ok = got == expected
-        rows.append(AuditRow(
-            statement="abelian-3", spec=bundle.text, order=bundle.order, p=p,
-            field=format_field(k), acd=got, bound=expected, below_bound=got < expected,
-            p_nilpotent=pn, verdict=CONSISTENT if ok else COUNTEREXAMPLE,
+        rows.append(bundle.row(
+            "abelian-3", p, k, got, expected, pn, CONSISTENT if ok else COUNTEREXAMPLE,
             note="" if ok else "engine average differs from the closed form"))
     return rows
 
@@ -353,20 +292,19 @@ def _abelian3_rows(bundle: _Bundle) -> List[AuditRow]:
 def _nonabelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     spec = bundle.spec
     G = bundle.G
+    if not (isinstance(spec, MatrixSemidirect) or spec == Symmetric(4)):
+        return []
+    H = point_stabilizer(G, 0)
     if isinstance(spec, MatrixSemidirect):
         p = spec.p
         V = translation_subgroup(G, p, len(spec.matrices[0]))
-    elif spec == Symmetric(4):
+    else:
         p = 2
-        H = point_stabilizer(G, 0)
         candidates = [K for K in minimal_normal_subgroups(G)
                       if K.order * H.order == G.order and (K.member_set() & H.member_set()) == {0}]
         if len(candidates) != 1:
             return []
         V = candidates[0]
-    else:
-        return []
-    H = point_stabilizer(G, 0)
     if V.order * H.order != G.order or (V.member_set() & H.member_set()) != {0}:
         return []
     if not _commutators(G, _closure(G, H.indices)[0]):  # H is abelian
@@ -379,24 +317,60 @@ def _nonabelian3_rows(bundle: _Bundle) -> List[AuditRow]:
     rows = []
     for k in fields:
         a = bundle.acd_value(k, p)
-        rows.append(AuditRow(
-            statement="nonabelian-3", spec=bundle.text, order=bundle.order, p=p,
-            field=format_field(k), acd=a, bound=_TWO, below_bound=a < _TWO,
-            p_nilpotent=pn, verdict=_verdict(a < _TWO, a == _TWO, pn, True)))
+        rows.append(bundle.row("nonabelian-3", p, k, a, _TWO, pn,
+                               _verdict(a < _TWO, a == _TWO, pn, True)))
     return rows
 
 
-_STRUCTURE_STATEMENTS: Dict[str, Callable[[_Bundle], List[AuditRow]]] = {
+# Each statement's name and its rows for one catalog entry.
+_STATEMENTS: Dict[str, Callable[[_Bundle], List[AuditRow]]] = {
+    "first": partial(_nilpotence_rows, (
+        _Variant("first", _odd, lambda p: _C, True, lambda p: bound_f(p, 1)),
+    )),
+    "second": partial(_nilpotence_rows, (
+        _Variant("second-1", _two, lambda p: _Q, True, lambda p: _TWO),
+        _Variant("second-2", _two, lambda p: _Q, False, lambda p: _TWO),
+        _Variant("second-3", _two, lambda p: _R, True, lambda p: _TWO),
+        _Variant("second-4", _two, lambda p: _R, False, lambda p: _TWO),
+    )),
+    "third": partial(_nilpotence_rows, (
+        _Variant("third-1", _odd, _zeta_p, True, lambda p: bound_f(p, 1)),
+        _Variant("third-2", _odd, _zeta_p, False, lambda p: bound_f(p, 1)),
+    )),
+    "fourth": partial(_nilpotence_rows, (
+        _Variant("fourth-1", _seven, lambda p: _C, True, lambda p: Fraction(9, 5),
+                 solvable_required=False, odd_order_required=True),
+        _Variant("fourth-2", _odd_not_seven, lambda p: _C, True, lambda p: _TWO,
+                 solvable_required=False, odd_order_required=True, sharpness="unknown"),
+        _Variant("fourth-3", _odd, _zeta_p, True, lambda p: _TWO,
+                 solvable_required=False, odd_order_required=True, sharpness="unknown"),
+        _Variant("fourth-4", _odd, _zeta_p, False, lambda p: _TWO,
+                 solvable_required=False, odd_order_required=True, sharpness="unknown"),
+    )),
+    "main-1": partial(_nilpotence_rows, (
+        _Variant("main-1", _odd, _zeta_p_and_c, True, lambda p: bound_f(p, 1)),
+    )),
+    "main-2": partial(_nilpotence_rows, (
+        _Variant("main-2", _two, lambda p: _Q, True, lambda p: _TWO),
+    )),
+    "main-3": partial(_nilpotence_rows, (
+        _Variant("main-3", _seven,
+                 lambda p: (FieldSpec.cyclotomic(21), FieldSpec.complexes()),
+                 True, lambda p: Fraction(9, 5), odd_order_required=True),
+    )),
+    "main-4": partial(_nilpotence_rows, (
+        _Variant("main-4", _seven, _zeta_p, True, lambda p: _TWO, odd_order_required=True),
+    )),
+    "main-5": partial(_nilpotence_rows, (
+        _Variant("main-5", _odd_not_seven, _zeta_p_and_c, True, lambda p: _TWO,
+                 odd_order_required=True),
+    )),
     "acd-cent-k": _cent_k_rows,
     "abelian-3": _abelian3_rows,
     "nonabelian-3": _nonabelian3_rows,
 }
 
-STATEMENT_NAMES: Tuple[str, ...] = (
-    "first", "second", "third", "fourth",
-    "main-1", "main-2", "main-3", "main-4", "main-5",
-    "acd-cent-k", "abelian-3", "nonabelian-3",
-)
+STATEMENT_NAMES: Tuple[str, ...] = tuple(_STATEMENTS)
 
 
 def resolve_statements(name: str) -> Tuple[str, ...]:
@@ -412,22 +386,15 @@ def resolve_statements(name: str) -> Tuple[str, ...]:
 
 def _rows_for_spec(text: str, names: Sequence[str]) -> List[AuditRow]:
     bundle = _Bundle(text)
-    rows: List[AuditRow] = []
-    for name in names:
-        if name in _NILPOTENCE_VARIANTS:
-            for v in _NILPOTENCE_VARIANTS[name]:
-                rows.extend(_nilpotence_rows(bundle, v))
-        else:
-            rows.extend(_STRUCTURE_STATEMENTS[name](bundle))
-    return rows
-
-
-def _worker(args: Tuple[str, Tuple[str, ...]]) -> List[AuditRow]:
-    return _rows_for_spec(*args)
+    return [r for name in names for r in _STATEMENTS[name](bundle)]
 
 
 def audit_many(names: Sequence[str], catalog_texts: Sequence[str], jobs: int = 1) -> List[AuditRow]:
-    """Audit several statements over spec texts; rows sorted for stable output."""
+    """Audit several statements over spec texts; rows sorted for stable output.
+
+    With ``jobs`` above 1 the specs go to a pool of at most ``jobs`` workers,
+    and never more than the CPUs this process may run on.
+    """
     resolved: List[str] = []
     for name in names:
         for s in resolve_statements(name):
@@ -435,13 +402,14 @@ def audit_many(names: Sequence[str], catalog_texts: Sequence[str], jobs: int = 1
                 resolved.append(s)
     tasks = [(t, tuple(resolved)) for t in catalog_texts]
     if jobs <= 1 or len(tasks) <= 1:
-        chunks = [_worker(t) for t in tasks]
+        chunks = [_rows_for_spec(*t) for t in tasks]
     else:
         # Imported here: a one-job run never pays for multiprocessing.
         from multiprocessing import Pool
 
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            chunks = pool.map(_worker, tasks, chunksize=1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with Pool(processes=min(jobs, len(tasks), cpus)) as pool:
+            chunks = pool.starmap(_rows_for_spec, tasks, chunksize=1)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=AuditRow.sort_key)
     return rows

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .audit import audit_many, has_counterexample, rows_to_jsonl
+from .audit import STATEMENT_NAMES, audit_many, has_counterexample, rows_to_jsonl
 from .chartab import character_table, table_json_pieces
 from .constructions import build, default_catalog, to_text
 from .errors import AcdlabError, EngineInvariantError, InputError
@@ -149,9 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_audit = sub.add_parser("audit", help="audit a statement over the catalog")
-    p_audit.add_argument("theorem",
-                         help="first, second, third, fourth, main-1..main-5, main, "
-                              "acd-cent-k, abelian-3, nonabelian-3, or all")
+    p_audit.add_argument("theorem", help=f"{', '.join(STATEMENT_NAMES)}, main, or all")
     p_audit.add_argument("--catalog", default=None,
                          help="file with one group spec per line ('#' comments)")
     p_audit.add_argument("--jobs", type=int, default=1)

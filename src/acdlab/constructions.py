@@ -240,9 +240,11 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
     validate_spec(spec)
     if isinstance(spec, Cyclic):
         n = spec.n
+        check_size(n, n, cap)
         return generate_group([tuple((i + 1) % n for i in range(n))], degree=n, cap=cap)
     if isinstance(spec, Dihedral):
         m = spec.m
+        check_size(m, 2 * m, cap)
         if m == 2:
             # Degree-4 faithful model: the natural 2-point action is not faithful.
             return generate_group([(1, 0, 3, 2), (2, 3, 0, 1)], degree=4, cap=cap)

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import weakref
@@ -154,6 +156,13 @@ class TestAuditRows:
         for r in mat:
             assert r.p == 5 and r.acd == Fraction(40, 13) and r.verdict == "consistent"
 
+    @pytest.mark.parametrize("text", [
+        "MAT(5;[[1,1],[0,1]],[[2,0],[0,1]])",  # H is nonabelian but fixes a line
+        "MAT(3;[[0,1],[2,0]])",  # the module is irreducible but H is cyclic
+    ])
+    def test_nonabelian3_skips_unless_h_nonabelian_and_module_irreducible(self, text):
+        assert _rows_for_spec(text, ["nonabelian-3"]) == []
+
     def test_rows_sorted_and_deterministic(self):
         specs = [parse_group_spec(t) for t in ("S(4)", "D(14)", "C(6)", "A(4)")]
         a = audit_many(["first", "second"], [str(t) for t in ("S(4)", "D(14)", "C(6)", "A(4)")])
@@ -196,10 +205,30 @@ class TestAuditRows:
             assert _rows_for_spec(text, STATEMENT_NAMES)
             table_to_json(character_table(build(parse_group_spec(text))))
 
-    def test_unknown_prime_selection_is_typed(self):
-        assert audit_mod._select_primes("odd", 6) == [3]
-        with pytest.raises(EngineInvariantError, match="bogus"):
-            audit_mod._select_primes("bogus", 6)
+    def test_pool_sized_by_usable_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks, chunksize):
+                return [fn(*t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        texts = ["C(3)", "D(14)", "S(3)", "C(5)"]
+        serial = audit_many(["first"], texts)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert audit_many(["first"], texts, jobs=400) == serial
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert audit_many(["first"], texts, jobs=2) == serial
+        assert sizes == [2, 1]
 
 
 class TestRowSerialization:
@@ -222,7 +251,7 @@ class TestRowSerialization:
     def test_optional_fields_present_when_set(self):
         rows = audit_theorem("acd-cent-k", [parse_group_spec("C(2)*S(3)")])
         data = json.loads(rows_to_jsonl(rows).splitlines()[0])
-        assert "acd_quotient" in data and "subgroup" in data
+        assert list(data)[-3:] == ["verdict", "acd_quotient", "subgroup"]
 
     def test_has_counterexample(self):
         rows = audit_theorem("first", [parse_group_spec("D(14)")])

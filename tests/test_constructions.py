@@ -248,7 +248,7 @@ def _cyclic_shift(n):
 
 class TestSizeRefusal:
     """Specs whose order or degree is past the limits are refused before any
-    vector or field matrix is built."""
+    vector, field matrix or generator is built."""
 
     @pytest.fixture
     def no_building(self, monkeypatch):
@@ -302,7 +302,8 @@ class TestSizeRefusal:
             resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
         shift = "[" + ",".join(str(list(row)).replace(" ", "") for row in _cyclic_shift(14)) + "]"
-        for text in ("SD(5,6,7)", "SD(3,10,59048)", "SD(2,20,1048575)", f"MAT(2;{shift})"):
+        for text in ("SD(5,6,7)", "SD(3,10,59048)", "SD(2,20,1048575)", f"MAT(2;{shift})",
+                     "C(30000)", "D(60000)", "C(100000000)"):
             start = time.perf_counter()
             proc = subprocess.run([sys.executable, "-m", "acdlab", "table", text],
                                   capture_output=True, text=True, timeout=60, preexec_fn=limit)
